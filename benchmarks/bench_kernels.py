@@ -1,7 +1,11 @@
-"""Compare the compiled kernels against the pure-Python twins.
+"""Time the Littlestone-dimension and game-value kernels.
 
-Runs the dimension and game-value recursions on a small battery of classes
-with both backends and prints a timing table plus agreement checks.  Usage:
+Runs ``littlelab.kernels`` on a small battery of classes and prints a timing
+table.  Every value is checked: against the known dimension where there is
+one (thresholds(d) and hd_prime(d) have dimension d, singletons dimension 1),
+and the game value against the dimension.  The last two cases are ldim only:
+the game recursion still walks about 2^40 version spaces on singletons(40).
+Usage:
 
     python3 benchmarks/bench_kernels.py [--repeats N]
 """
@@ -12,26 +16,26 @@ import argparse
 import random
 import time
 
-from littlelab import _kernels_py
+from littlelab import kernels
 from littlelab.classes import hd_prime, singletons, thresholds
 
-try:
-    from littlelab import _kernels_cy
-except ImportError:  # pragma: no cover - compiled twin absent
-    _kernels_cy = None
 
-
-def battery() -> list[tuple[str, tuple[int, ...], int]]:
+def battery() -> list[tuple[str, tuple[int, ...], int, int | None, bool]]:
+    """(name, rows, domain size, known dimension or None, time the game value)."""
     cases = [
-        ("thresholds(4)", thresholds(4).sorted_rows, 16),
-        ("hd_prime(3)", hd_prime(3).sorted_rows, 10),
-        ("singletons(12)", singletons(12).sorted_rows, 12),
+        ("thresholds(4)", thresholds(4).sorted_rows, 16, 4, True),
+        ("thresholds(6)", thresholds(6).sorted_rows, 64, 6, True),
+        ("hd_prime(3)", hd_prime(3).sorted_rows, 10, 3, True),
+        ("singletons(12)", singletons(12).sorted_rows, 12, 1, True),
     ]
     rng = random.Random(7)
     for i in range(3):
         domain = 9 + i
         rows = tuple(sorted(rng.sample(range(1 << domain), 40)))
-        cases.append((f"random[{i}] d={domain} r=40", rows, domain))
+        cases.append((f"random[{i}] d={domain} r=40", rows, domain, None, True))
+    rows = tuple(sorted(rng.sample(range(1 << 20), 400)))
+    cases.append(("random d=20 r=400", rows, 20, None, False))
+    cases.append(("singletons(40)", singletons(40).sorted_rows, 40, 1, False))
     return cases
 
 
@@ -50,31 +54,24 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
-    backends = [("pure", _kernels_py)]
-    if _kernels_cy is not None:
-        backends.append(("cython", _kernels_cy))
-    else:
-        print("compiled backend unavailable; benchmarking pure only")
-
-    header = f"{'case':<24}{'kernel':<14}" + "".join(
-        f"{name + ' (s)':>14}" for name, _ in backends)
+    header = f"{'case':<24}{'kernel':<18}{'best (s)':>12}  value"
     print(header)
     print("-" * len(header))
-    for case, rows, domain in battery():
-        for kernel_name in ("ldim_masks", "game_value_masks"):
-            values, cells = [], []
-            for _, impl in backends:
-                value, best = timed(getattr(impl, kernel_name), rows, domain,
-                                    args.repeats)
-                values.append(value)
-                cells.append(f"{best:>14.6f}")
-            if len(set(values)) != 1:
-                print(f"MISMATCH on {case}/{kernel_name}: {values}")
-                return 1
-            print(f"{case:<24}{kernel_name:<14}" + "".join(cells)
-                  + f"   value={values[0]}")
-    if len(backends) == 2:
-        print("\nbackends agree on every case")
+    for case, rows, domain, known, with_game in battery():
+        kernel_names = ["ldim_masks"] + (["game_value_masks"] if with_game else [])
+        values = []
+        for kernel_name in kernel_names:
+            value, best = timed(getattr(kernels, kernel_name), rows, domain,
+                                args.repeats)
+            values.append(value)
+            print(f"{case:<24}{kernel_name:<18}{best:>12.6f}  {value}")
+        if known is not None and values[0] != known:
+            print(f"MISMATCH on {case}: ldim {values[0]}, known dimension {known}")
+            return 1
+        if len(set(values)) != 1:
+            print(f"MISMATCH on {case}: ldim {values[0]}, game value {values[1]}")
+            return 1
+    print("\nevery value matches its known dimension and the game value")
     return 0
 
 

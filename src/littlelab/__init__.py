@@ -17,7 +17,6 @@ from .errors import InstanceTooLargeError, NotRealizableError, PropertyViolation
 from .game import (GameValue, Horizon, Verdict, is_anytime_optimal, is_optimal,
                    mistake_bound, mistakes_on_sample, optimal_mistake_bound,
                    optimal_post_sample_bound, post_sample_mistake_bound)
-from .kernels import BACKEND
 from .littlestone import (FUEL_EXHAUSTED, ShatteredTree, enumerate_shattered_trees,
                           find_shattered_tree, ldim, max_witness_depth,
                           verify_shattered_tree)

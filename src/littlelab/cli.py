@@ -344,6 +344,13 @@ def cmd_pac_eval(args) -> list[tuple[str, object]]:
 # ---------------------------------------------------------------------------
 # Argument parsing
 
+def _natural(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a natural number, got {value}")
+    return value
+
+
 def _add_class_args(p) -> None:
     p.add_argument("--builder", choices=["thresholds", "singletons", "hd-prime"])
     p.add_argument("--file")
@@ -392,7 +399,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo-split", help="diagonal forcing-sample replay")
     p.add_argument("--e", type=int, default=0)
-    p.add_argument("--M", type=int, default=2)
+    p.add_argument("--M", type=_natural, default=2)
     p.add_argument("--step-budget", type=int, default=10_000)
     p.add_argument("--i-max", type=int, default=5)
     p.set_defaults(run=cmd_demo_split)

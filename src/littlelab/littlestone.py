@@ -50,26 +50,27 @@ def ldim(H: FiniteClass) -> int:
     return _ldim_cached(H.sorted_rows, H.domain_size)
 
 
-def _log2_upper_bound(row_count: int) -> int:
-    # Ldim(H) <= log2 |H|: each tree path needs its own hypothesis.
-    return row_count.bit_length() - 1 if row_count else -1
+def _search(v: int, splits: list[tuple[int, int]], depth: int):
+    """Nested (x, left, right) witness structure for version space v, or None.
 
-
-def _search(masks: tuple[int, ...], domain_size: int, depth: int):
-    """Nested (x, left, right) witness structure, or None."""
+    Instances are tried in ascending order.  ``splits`` keeps only the first
+    x of each distinct split (``kernels._splits``); that is exact, because a
+    later x whose column equals an earlier column, or its complement, fails
+    exactly when the earlier x fails, so the first witness is unchanged.
+    """
     if depth == 0:
-        return () if masks else None
-    if _log2_upper_bound(len(masks)) < depth:
+        return () if v else None
+    # Ldim(V) <= log2 |V|: each tree path needs its own hypothesis.
+    if v.bit_count().bit_length() - 1 < depth:
         return None
-    for x in range(domain_size):
-        zeros = tuple(r for r in masks if not (r >> x) & 1)
-        if not zeros or len(zeros) == len(masks):
+    for x, col in splits:
+        ones = v & col
+        if not ones or ones == v:
             continue
-        ones = tuple(r for r in masks if (r >> x) & 1)
-        left = _search(zeros, domain_size, depth - 1)
+        left = _search(v ^ ones, splits, depth - 1)
         if left is None:
             continue
-        right = _search(ones, domain_size, depth - 1)
+        right = _search(ones, splits, depth - 1)
         if right is not None:
             return (x, left, right)
     return None
@@ -94,7 +95,8 @@ def find_shattered_tree(H: FiniteClass, d: int) -> ShatteredTree | None:
     """Exhaustive search for a depth-d witness; None certifies there is none."""
     if d < 1:
         raise ValueError("witness search needs depth >= 1")
-    structure = _search(H.sorted_rows, H.domain_size, d)
+    full, splits = kernels._splits(H.sorted_rows, H.domain_size)
+    structure = _search(full, splits, d)
     if structure is None:
         return None
     return ShatteredTree(_flatten(structure, d), d)

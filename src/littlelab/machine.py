@@ -20,6 +20,7 @@ an exact table-driven one for tests.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -40,9 +41,8 @@ def pair(a: int, b: int) -> int:
 
 
 def unpair(n: int) -> tuple[int, int]:
-    s = 0
-    while (s + 1) * (s + 2) // 2 <= n:
-        s += 1
+    # The largest s with s(s+1)/2 <= n, i.e. with (2s+1)^2 <= 8n+1.
+    s = (math.isqrt(8 * n + 1) - 1) // 2
     b = n - s * (s + 1) // 2
     return s - b, b
 

@@ -1,12 +1,13 @@
-"""Pure-Python twin of the hot recursions over bitmask row sets.
+"""Slow reference recursions over tuples of row masks.
 
-Both functions take the class as a sorted tuple of row masks plus the domain
-size.  Memo tables are confined to one top-level call.
+These are the naive splitting, game and tree-search recursions that the
+bitset kernels in ``littlelab.kernels`` and ``littlelab.littlestone`` replace.
+They rebuild the row tuple of every split and never stop early, so they are
+only fit for small classes; the agreement tests compare the fast engines
+against them.
 """
 
 from __future__ import annotations
-
-BACKEND = "python"
 
 
 def ldim_masks(rows: tuple[int, ...], domain_size: int) -> int:
@@ -65,3 +66,24 @@ def game_value_masks(rows: tuple[int, ...], domain_size: int) -> int:
         return best
 
     return rec(tuple(sorted(rows)))
+
+
+def search(masks: tuple[int, ...], domain_size: int, depth: int):
+    """Nested (x, left, right) witness structure of the first depth-`depth`
+    shattered tree in ascending instance order, or None."""
+    if depth == 0:
+        return () if masks else None
+    if len(masks).bit_length() - 1 < depth:  # Ldim <= log2 |H|
+        return None
+    for x in range(domain_size):
+        zeros = tuple(r for r in masks if not (r >> x) & 1)
+        if not zeros or len(zeros) == len(masks):
+            continue
+        ones = tuple(r for r in masks if (r >> x) & 1)
+        left = search(zeros, domain_size, depth - 1)
+        if left is None:
+            continue
+        right = search(ones, domain_size, depth - 1)
+        if right is not None:
+            return (x, left, right)
+    return None

@@ -125,6 +125,12 @@ def test_demo_split_default_is_three_mistakes(capsys):
     assert parse_tsv(out)["mistakes"] == "3"
 
 
+def test_demo_split_rejects_negative_mistake_target(capsys):
+    code, out, err = run_cli(capsys, "demo-split", "--M", "-3")
+    assert code == 1
+    assert out == "" and "natural" in err
+
+
 def test_build_and_reload(capsys, tmp_path):
     out_path = tmp_path / "class.json"
     code, out, _ = run_cli(capsys, "build", "--builder", "hd-prime",

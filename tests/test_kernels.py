@@ -1,59 +1,72 @@
-import os
-import subprocess
-import sys
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from littlelab import _kernels_py, kernels
-from littlelab.classes import FiniteClass
-
-try:
-    from littlelab import _kernels_cy
-except ImportError:  # pragma: no cover
-    _kernels_cy = None
-
-needs_compiled = pytest.mark.skipif(_kernels_cy is None,
-                                    reason="compiled backend not built")
+import reference_kernels as reference
+from littlelab import kernels
+from littlelab.classes import FiniteClass, singletons, thresholds
+from littlelab.game import optimal_mistake_bound
+from littlelab.littlestone import _flatten, find_shattered_tree, ldim
 
 
 @st.composite
 def mask_classes(draw):
-    domain = draw(st.integers(min_value=1, max_value=5))
+    domain = draw(st.integers(min_value=1, max_value=7))
     rows = draw(st.frozensets(
-        st.integers(min_value=0, max_value=(1 << domain) - 1), max_size=12))
+        st.integers(min_value=0, max_value=(1 << domain) - 1), max_size=14))
     return tuple(sorted(rows)), domain
 
 
-@needs_compiled
-@settings(max_examples=80, deadline=None)
-@given(mask_classes())
-def test_backends_agree(case):
-    rows, domain = case
-    assert _kernels_cy.ldim_masks(rows, domain) == \
-        _kernels_py.ldim_masks(rows, domain)
-    assert _kernels_cy.game_value_masks(rows, domain) == \
-        _kernels_py.game_value_masks(rows, domain)
-
-
-def test_wide_domains_route_to_pure_python():
-    domain = 70  # beyond the compiled kernel's 64-bit row masks
-    rows = (0, 1 << 69, (1 << 69) | 1)
-    assert kernels.ldim_masks(rows, domain) == \
-        _kernels_py.ldim_masks(rows, domain)
+def assert_matches_reference(rows: tuple[int, ...], domain: int) -> None:
+    value = kernels.ldim_masks(rows, domain)
+    assert value == reference.ldim_masks(rows, domain)
+    assert kernels.game_value_masks(rows, domain) == \
+        reference.game_value_masks(rows, domain)
     H = FiniteClass(domain, frozenset(rows))
-    from littlelab.littlestone import ldim
+    for depth in range(1, value + 2):
+        expected = reference.search(rows, domain, depth)
+        tree = find_shattered_tree(H, depth)
+        if expected is None:
+            assert tree is None
+        else:
+            assert tree is not None and tree.nodes == _flatten(expected, depth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask_classes())
+def test_kernels_and_search_match_reference(case):
+    assert_matches_reference(*case)
+
+
+def test_empty_and_one_row_classes():
+    for domain in (0, 1, 5):
+        assert kernels.ldim_masks((), domain) == -1
+        assert kernels.game_value_masks((), domain) == 0
+        assert_matches_reference((), domain)
+    for row in (0, 1, 0b10110):
+        assert kernels.ldim_masks((row,), 5) == 0
+        assert kernels.game_value_masks((row,), 5) == 0
+        assert_matches_reference((row,), 5)
+
+
+def test_duplicate_and_complementary_columns():
+    # Instances 1 and 2 copy instance 0; instance 3 is its complement and
+    # instance 4 is constant.  Only instance 0 splits, so the witness uses it.
+    rows = (0b01000, 0b00111)
+    assert_matches_reference(rows, 5)
+    assert find_shattered_tree(FiniteClass(5, frozenset(rows)), 1).nodes == (0,)
+    assert_matches_reference(thresholds(3).sorted_rows, 8)
+
+
+def test_wide_domain_matches_reference():
+    domain = 70  # row masks wider than 64 bits
+    rows = (0, 1 << 69, (1 << 69) | 1)
+    assert_matches_reference(rows, domain)
+    H = FiniteClass(domain, frozenset(rows))
     assert ldim(H) == 1
+    assert optimal_mistake_bound(H) == 1
+    assert find_shattered_tree(H, 1).nodes == (0,)
 
 
-def test_pure_python_env_override():
-    script = ("import littlelab; print(littlelab.BACKEND)")
-    env = dict(os.environ, LITTLELAB_PURE_PYTHON="1")
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "python"
-
-
-@needs_compiled
-def test_default_backend_is_compiled():
-    assert kernels.BACKEND == "cython"
+def test_large_classes_the_naive_recursions_cannot_finish():
+    assert kernels.ldim_masks(singletons(40).sorted_rows, 40) == 1
+    assert kernels.ldim_masks(thresholds(6).sorted_rows, 64) == 6
+    assert kernels.game_value_masks(thresholds(6).sorted_rows, 64) == 6

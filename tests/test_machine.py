@@ -29,6 +29,14 @@ def test_unpair_round_trip(n):
     assert pair(a, b) == n
 
 
+def test_unpair_inverts_pair_exhaustively():
+    for s in range(500):
+        for b in range(s + 1):
+            assert unpair(pair(s - b, b)) == (s - b, b)
+    big = 10 ** 40
+    assert unpair(pair(big, 7)) == (big, 7)
+
+
 def test_program_numbering_is_a_bijection():
     for n in range(300):
         assert index_of(enumerate_programs(n)) == n
