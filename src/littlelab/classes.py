@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
+from . import kernels
 from .core import Sample
 
 
@@ -53,6 +55,7 @@ class Tristate:
 class FiniteClass:
     domain_size: int
     rows: frozenset[int]
+    sorted_rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.domain_size < 0:
@@ -61,6 +64,7 @@ class FiniteClass:
         for row in self.rows:
             if row < 0 or row & ~mask:
                 raise ValueError(f"row {row:b} exceeds domain size {self.domain_size}")
+        object.__setattr__(self, "sorted_rows", tuple(sorted(self.rows)))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -68,9 +72,26 @@ class FiniteClass:
     def __bool__(self) -> bool:
         return bool(self.rows)
 
-    @property
-    def sorted_rows(self) -> tuple[int, ...]:
-        return tuple(sorted(self.rows))
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """Bit i of columns[x] is set when sorted_rows[i] labels x with 1."""
+        return kernels.columns(self.sorted_rows, self.domain_size)
+
+    def version_space(self, sample: Iterable[tuple[int, int]]) -> int:
+        """Bitset of the rows consistent with the sample (bit i: sorted_rows[i])."""
+        v = (1 << len(self.rows)) - 1
+        for x, y in sample:
+            if not 0 <= x < self.domain_size:
+                raise ValueError(f"instance {x} outside domain of size {self.domain_size}")
+            if y not in (0, 1):
+                raise ValueError(f"label must be 0 or 1, got {y}")
+            v &= self.columns[x] if y else ~self.columns[x]
+        return v
+
+    def restricted_to(self, v: int) -> "FiniteClass":
+        """The sub-class of the rows in version space v."""
+        return FiniteClass(self.domain_size, frozenset(
+            row for i, row in enumerate(self.sorted_rows) if v >> i & 1))
 
     def domain(self) -> range:
         return range(self.domain_size)
@@ -110,17 +131,11 @@ class FiniteClass:
 
 def constrain(H: FiniteClass, x: int, y: int) -> FiniteClass:
     """Sub-class of exactly the hypotheses with h(x) = y."""
-    if not 0 <= x < H.domain_size:
-        raise ValueError(f"instance {x} outside domain of size {H.domain_size}")
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y}")
-    return FiniteClass(H.domain_size, frozenset(r for r in H.rows if (r >> x) & 1 == y))
+    return H.restricted_to(H.version_space(((x, y),)))
 
 
 def restrict(H: FiniteClass, sample: Sample) -> FiniteClass:
-    for x, y in sample:
-        H = constrain(H, x, y)
-    return H
+    return H.restricted_to(H.version_space(sample))
 
 
 def empirical_loss(h: Hypothesis | int, sample: Sample) -> int:
@@ -131,7 +146,7 @@ def empirical_loss(h: Hypothesis | int, sample: Sample) -> int:
 
 
 def is_realizable(H: FiniteClass, sample: Sample) -> bool:
-    return bool(restrict(H, sample))
+    return bool(H.version_space(sample))
 
 
 # ---------------------------------------------------------------------------

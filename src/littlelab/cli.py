@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import batch, classes, families, game, learners, significance
+from .budget import FuelExhaustedError
 from .classes import FiniteClass, from_file, hd_prime, singletons, thresholds, to_file
 from .core import Sample, canonical_index
 from .errors import PropertyViolation
@@ -38,8 +39,7 @@ def default_table_oracle() -> TableOracle:
         halting[(e, e)] = e % 2
     for e in (1, 2, 3, 4, 5, 7):
         halting[(e, 0)] = 0
-    diverging = {(0, 0), (6, 6), (0, 6), (3, 3), (6, 0), (8, 0)}
-    return TableOracle(halting, diverging)
+    return TableOracle(halting)
 
 
 def load_oracle(path: str | None) -> TableOracle:
@@ -296,7 +296,10 @@ def cmd_demo_split(args) -> list[tuple[str, object]]:
 
 
 def cmd_demo_init(args) -> list[tuple[str, object]]:
-    witness = families.find_thresholds(args.k, args.step_cap, args.x_cap)
+    try:
+        witness = families.find_thresholds(args.k, args.step_cap, args.x_cap)
+    except RuntimeError as exc:
+        raise UsageError(f"{exc}; raise --step-cap or --x-cap") from exc
     expect(witness.verify(), "threshold witness failed verification")
     depth = (args.k).bit_length() - 1
     indexed, tree = families.dimension_witness_from_thresholds(witness, depth)
@@ -445,6 +448,9 @@ def main(argv: list[str] | None = None) -> int:
     except PropertyViolation as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 2
+    except FuelExhaustedError as exc:
+        print(f"budget exhausted: {exc}", file=sys.stderr)
+        return 1
     except (UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -4,9 +4,10 @@ The adversary ranges over realizable samples within an explicit horizon (the
 desk-scale truncation of the unbounded supremum); values are reported with
 their horizon and verified to stabilize by re-running at horizon + 2.
 Adversary instance order is ascending, with memoization keyed on
-(version-space rows, learner-visible history): history must be part of the
-key because arbitrary learners are history-dependent.  Learners that declare
-themselves version-space-measurable get the fast path keyed on rows alone.
+(version-space bitset of the history, learner-visible history): history must
+be part of the key because arbitrary learners are history-dependent.  Learners
+that declare themselves version-space-measurable get the fast path keyed on
+the bitset alone.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import kernels
-from .classes import FiniteClass, constrain, restrict
+from .classes import FiniteClass, restrict
 from .core import Sample
 from .errors import NotRealizableError, PropertyViolation
 from .littlestone import ldim
@@ -75,8 +76,7 @@ class _Explorer:
         self.cap = horizon.cap(H)
         self.memo: dict = {}
 
-    def _redundant(self, sample: Sample, child: Sample, rows: frozenset[int],
-                   sub_rows: frozenset[int]) -> bool:
+    def _redundant(self, sample: Sample, child: Sample, v: int, sub: int) -> bool:
         """A correctly-predicted step the adversary cannot profit from.
 
         For version-space-measurable learners a step that leaves the version
@@ -87,47 +87,44 @@ class _Explorer:
         so any continuation value is already achievable without the step.
         """
         if self.learner.vs_measurable:
-            return sub_rows == rows
+            return sub == v
         if self.learner.history_key is not None:
             return self.learner.history_key(child) == self.learner.history_key(sample)
         return False
 
-    def _state_key(self, sample: Sample, rows: frozenset[int], remaining: int):
+    def _state_key(self, sample: Sample, v: int, remaining: int):
         if self.learner.vs_measurable:
-            return (rows, remaining)
+            return (v, remaining)
         if self.learner.history_key is not None:
-            return (rows, self.learner.history_key(sample), remaining)
-        return (rows, sample.items, remaining)
+            return (v, self.learner.history_key(sample), remaining)
+        return (v, sample.items, remaining)
 
     def future_mistakes(self, sample: Sample, remaining: int | None = None
                         ) -> tuple[int, tuple]:
         """(max additional mistakes, adversarial continuation) from `sample`."""
-        rows = restrict(self.H, sample).rows
-        if not rows:
+        v = self.H.version_space(sample)
+        if not v:
             raise NotRealizableError(f"history {sample.items} is not realizable")
-        return self._explore(sample, rows,
-                             self.horizon.t_max if remaining is None else remaining)
+        return self._explore(sample, v, self.horizon.t_max if remaining is None else remaining)
 
-    def _explore(self, sample: Sample, rows: frozenset[int], remaining: int
-                 ) -> tuple[int, tuple]:
+    def _explore(self, sample: Sample, v: int, remaining: int) -> tuple[int, tuple]:
         if remaining == 0:
             return 0, ()
-        key = self._state_key(sample, rows, remaining)
+        key = self._state_key(sample, v, remaining)
         cached = self.memo.get(key)
         if cached is not None:
             return cached
         best, best_continuation = 0, ()
         for x in range(self.cap):
             prediction = self.learner.predict(sample, x)
-            for y in (0, 1):
-                sub_rows = frozenset(r for r in rows if (r >> x) & 1 == y)
-                if not sub_rows:
+            ones = v & self.H.columns[x]
+            for y, sub in ((0, v ^ ones), (1, ones)):
+                if not sub:
                     continue
                 child = sample.append(x, y)
-                if prediction == y and self._redundant(sample, child, rows, sub_rows):
+                if prediction == y and self._redundant(sample, child, v, sub):
                     continue
-                sub_value, sub_cont = self._explore(child, sub_rows,
-                                                    remaining - 1)
+                sub_value, sub_cont = self._explore(child, sub, remaining - 1)
                 value = int(prediction != y) + sub_value
                 if value > best:
                     best, best_continuation = value, ((x, y),) + sub_cont
@@ -150,8 +147,6 @@ def mistake_bound(learner, H: FiniteClass, horizon: Horizon) -> GameValue:
 def post_sample_mistake_bound(learner, H: FiniteClass, sample: Sample,
                               horizon: Horizon) -> int:
     """Most the learner can be made to err after witnessing `sample`."""
-    if not restrict(H, sample):
-        raise NotRealizableError(f"sample {sample.items} is not realizable")
     explorer = _Explorer(learner, H, horizon)
     value, _ = explorer.future_mistakes(sample)
     return value
@@ -199,14 +194,14 @@ def _realizable_samples(H: FiniteClass, max_len: int, cap: int):
     first counterexample reported by the anytime sweep the minimal one."""
     if not H.rows:
         return
-    frontier: list[tuple[Sample, frozenset[int]]] = [(Sample(), H.rows)]
+    frontier: list[tuple[Sample, int]] = [(Sample(), H.version_space(()))]
     for _ in range(max_len + 1):
-        next_frontier: list[tuple[Sample, frozenset[int]]] = []
-        for sample, rows in frontier:
+        next_frontier: list[tuple[Sample, int]] = []
+        for sample, v in frontier:
             yield sample
             for x in range(cap):
-                for y in (1, 0):
-                    sub = frozenset(r for r in rows if (r >> x) & 1 == y)
+                ones = v & H.columns[x]
+                for y, sub in ((1, ones), (0, v ^ ones)):
                     if sub:
                         next_frontier.append((sample.append(x, y), sub))
         frontier = next_frontier

@@ -24,17 +24,25 @@ keyed on the version-space int and confined to one top-level call.
 from __future__ import annotations
 
 
+def columns(rows: tuple[int, ...], domain_size: int) -> tuple[int, ...]:
+    """One column bitset per instance x: bit i is set when rows[i] labels x with 1."""
+    cols = []
+    for x in range(domain_size):
+        col = 0
+        for i, row in enumerate(rows):
+            if row >> x & 1:
+                col |= 1 << i
+        cols.append(col)
+    return tuple(cols)
+
+
 def _splits(rows: tuple[int, ...], domain_size: int) -> tuple[int, list[tuple[int, int]]]:
     """The full version space and one (x, column) per distinct split, in
     ascending x: x is the first instance inducing that split."""
     full = (1 << len(rows)) - 1
     seen = {0, full}
     splits = []
-    for x in range(domain_size):
-        col = 0
-        for i, row in enumerate(rows):
-            if row >> x & 1:
-                col |= 1 << i
+    for x, col in enumerate(columns(rows, domain_size)):
         if col not in seen:
             seen.add(col)
             seen.add(full ^ col)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable
 
 from .budget import FuelExhaustedError, FuelTank
-from .classes import EnumerableClass, FiniteClass, constrain, restrict
+from .classes import EnumerableClass, FiniteClass
 from .core import Sample, encode_sample
 from .littlestone import ShatteredTree, ldim, tree_enumerator
 from .machine import HaltsAnswer, apply2, Halted
@@ -44,9 +44,9 @@ def sol(H: FiniteClass) -> Learner:
     Littlestone dimension, ties going to 1."""
 
     def predict(sample: Sample, x: int) -> int:
-        version_space = restrict(H, sample)
-        one = ldim(constrain(version_space, x, 1))
-        zero = ldim(constrain(version_space, x, 0))
+        v = H.version_space(sample)
+        one = ldim(H.restricted_to(v & H.version_space(((x, 1),))))
+        zero = ldim(H.restricted_to(v & H.version_space(((x, 0),))))
         return int(one >= zero)
 
     return Learner(f"sol[{H.domain_size}]", predict, vs_measurable=True)
@@ -107,7 +107,7 @@ def threshold_fallback_learner(H: FiniteClass, fallback_rows: frozenset[int]) ->
         return (
             _all_extra_positives(sample),
             frozenset(xt for xt, _ in sample if xt in extras),
-            restrict(H, sample).rows,
+            H.version_space(sample),
         )
 
     return Learner("threshold-fallback", predict, history_key=key)

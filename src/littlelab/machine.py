@@ -346,15 +346,13 @@ class TableOracle:
 
     Needed to instantiate diverging branches that no budgeted real oracle can
     certify.  Entries map (e, x) to a halting value (with an optional
-    certificate position) or to divergence; queries outside the table default
-    to divergence so that both sides of every case split are controllable.
+    certificate position); every other query diverges, so that both sides of
+    every case split are controllable.
     """
 
     def __init__(self, halting: Mapping[tuple[int, int], int] | None = None,
-                 diverging: set | None = None,
                  certificates: Mapping[tuple[int, int], int] | None = None):
         self.halting = dict(halting or {})
-        self.diverging = set(diverging or set())
         self.certificates = dict(certificates or {})
 
     def halts(self, e: int, x: int) -> OracleReply:
@@ -372,24 +370,24 @@ class TableOracle:
 
     @staticmethod
     def from_file(path: str) -> "TableOracle":
-        """JSON map from "e,x" to {"halts": v[, "cert": i]} or "diverges"."""
+        """JSON map from "e,x" to {"halts": v[, "cert": i]} or "diverges"
+        (the default for a pair the map leaves out)."""
         with open(path) as handle:
             raw = json.load(handle)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: expected a JSON object mapping \"e,x\" to entries")
         halting: dict[tuple[int, int], int] = {}
-        diverging: set = set()
         certificates: dict[tuple[int, int], int] = {}
         for key, entry in raw.items():
             e_str, x_str = key.split(",")
             pair_key = (int(e_str), int(x_str))
-            if entry == "diverges":
-                diverging.add(pair_key)
-            elif isinstance(entry, dict) and "halts" in entry:
+            if isinstance(entry, dict) and "halts" in entry:
                 halting[pair_key] = int(entry["halts"])
                 if "cert" in entry:
                     certificates[pair_key] = int(entry["cert"])
-            else:
+            elif entry != "diverges":
                 raise ValueError(f"malformed oracle entry for {key!r}: {entry!r}")
-        return TableOracle(halting, diverging, certificates)
+        return TableOracle(halting, certificates)
 
 
 # Canonical tiny programs used throughout the demos and tests.

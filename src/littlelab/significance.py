@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from typing import Iterator
 
-from .classes import FiniteClass, constrain, restrict
+from .classes import FiniteClass, restrict
 from .core import Sample
 from .errors import InstanceTooLargeError, NotRealizableError
 from .game import optimal_mistake_bound
@@ -28,17 +29,23 @@ class SignificanceVerdict:
     evidence: tuple = ()
 
 
-def _require_realizable(H: FiniteClass, sample: Sample) -> FiniteClass:
-    version_space = restrict(H, sample)
-    if not version_space:
+def _require_realizable(H: FiniteClass, sample: Sample) -> int:
+    v = H.version_space(sample)
+    if not v:
         raise NotRealizableError(f"sample {sample.items} is not realizable")
-    return version_space
+    return v
 
 
-def _argmax_label(version_space: FiniteClass, x: int) -> tuple[int, int, int]:
-    one = ldim(constrain(version_space, x, 1))
-    zero = ldim(constrain(version_space, x, 0))
-    return (1 if one >= zero else 0), one, zero
+def _step_dimensions(H: FiniteClass, v: int, steps) -> Iterator[tuple[tuple, bool]]:
+    """Per (x, y) of `steps` from version space v: the evidence (x, dim, one, zero),
+    dimensions of the version space and of its restrictions to x = 1 and x = 0,
+    and whether is_opt_significant's conditions hold there (a None label skips (2))."""
+    for x, y in steps:
+        ones = v & H.version_space(((x, 1),))
+        dim, one, zero = (ldim(H.restricted_to(u)) for u in (v, ones, v ^ ones))
+        yield (x, dim, one, zero), dim == max(one, zero) and (
+            y is None or (one if y == 1 else zero) >= dim - 1)
+        v = ones if y == 1 else v ^ ones
 
 
 # ---------------------------------------------------------------------------
@@ -54,11 +61,10 @@ def is_aopt_significant(H: FiniteClass, sample: Sample, x: int) -> SignificanceV
     dimension, a mistake costs at most what the drop already saved, so
     either prediction remains anytime optimal.
     """
-    version_space = _require_realizable(H, sample)
-    dim = ldim(version_space)
-    forced, one, zero = _argmax_label(version_space, x)
+    v = _require_realizable(H, sample)
+    (_, dim, one, zero), _ = next(_step_dimensions(H, v, [(x, None)]))
     significant = one != zero and max(one, zero) == dim
-    return SignificanceVerdict(significant, forced if significant else None,
+    return SignificanceVerdict(significant, int(one >= zero) if significant else None,
                                "closed-form", ((x, dim, one, zero),))
 
 
@@ -72,17 +78,12 @@ def is_opt_significant(H: FiniteClass, sample: Sample, x: int) -> SignificanceVe
     """
     _require_realizable(H, sample)
     evidence = []
-    steps = list(sample) + [(x, None)]
-    for t, (xt, yt) in enumerate(steps):
-        version_space = restrict(H, sample.prefix(t))
-        dim = ldim(version_space)
-        forced, one, zero = _argmax_label(version_space, xt)
-        evidence.append((xt, dim, one, zero))
-        if dim != max(one, zero):
+    for step, holds in _step_dimensions(H, H.version_space(()), [*sample, (x, None)]):
+        evidence.append(step)
+        if not holds:
             return SignificanceVerdict(False, None, "closed-form", tuple(evidence))
-        if yt is not None and (one if yt == 1 else zero) < dim - 1:
-            return SignificanceVerdict(False, None, "closed-form", tuple(evidence))
-    return SignificanceVerdict(True, forced, "closed-form", tuple(evidence))
+    _, _, one, zero = step
+    return SignificanceVerdict(True, int(one >= zero), "closed-form", tuple(evidence))
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +103,7 @@ def _check_caps(H: FiniteClass, sample: Sample, *, max_domain: int,
 
 
 def _chain_game_value(H: FiniteClass, chain: tuple, pins: dict,
-                      t: int, rows: frozenset[int], remaining: int) -> int:
+                      t: int, v: int, remaining: int) -> int:
     """Worst case of the best strategy pinned at on-chain points.
 
     The current history is the length-t prefix of `chain`; pins maps a chain
@@ -116,14 +117,14 @@ def _chain_game_value(H: FiniteClass, chain: tuple, pins: dict,
     best = 0
     for x in range(H.domain_size):
         outcomes = {}
-        for y in (0, 1):
-            sub = frozenset(r for r in rows if (r >> x) & 1 == y)
+        ones = v & H.columns[x]
+        for y, sub in ((0, v ^ ones), (1, ones)):
             if not sub:
                 continue
             if t < len(chain) and (x, y) == tuple(chain[t]):
                 value = _chain_game_value(H, chain, pins, t + 1, sub, remaining - 1)
             else:
-                value = min(ldim(FiniteClass(H.domain_size, sub)), remaining - 1)
+                value = min(ldim(H.restricted_to(sub)), remaining - 1)
             outcomes[y] = value
         if not outcomes:
             continue
@@ -139,8 +140,8 @@ def _pinned_values(H: FiniteClass, sample: Sample, pins: dict) -> list[int]:
     horizon = len(sample) + 1 + max(ldim(H), 0)
     values = []
     for t in range(len(sample) + 1):
-        rows = restrict(H, sample.prefix(t)).rows
-        values.append(_chain_game_value(H, sample.items, pins, t, rows, horizon - t))
+        v = H.version_space(sample.items[:t])
+        values.append(_chain_game_value(H, sample.items, pins, t, v, horizon - t))
     return values
 
 
@@ -216,16 +217,7 @@ class EquivalenceReport:
 
 def condition_a_holds(H: FiniteClass, sample: Sample) -> bool:
     """Per-step dimension conditions over the witnessed history."""
-    for t, (xt, yt) in enumerate(sample):
-        version_space = restrict(H, sample.prefix(t))
-        dim = ldim(version_space)
-        one = ldim(constrain(version_space, xt, 1))
-        zero = ldim(constrain(version_space, xt, 0))
-        if dim != max(one, zero):
-            return False
-        if (one if yt == 1 else zero) < dim - 1:
-            return False
-    return True
+    return all(holds for _, holds in _step_dimensions(H, H.version_space(()), sample))
 
 
 def check_condition_equivalence(H: FiniteClass, sample: Sample, *,
@@ -304,9 +296,9 @@ def verify_ldim1_all_significant(truncation: FiniteClass, *,
     checked = 0
     artifacts = 0
 
-    def sweep(sample: Sample, rows: frozenset[int]) -> None:
+    def sweep(sample: Sample, v: int) -> None:
         nonlocal checked, artifacts
-        if prune_artifacts and len(rows) == 2:
+        if prune_artifacts and v.bit_count() == 2:
             artifacts += 1
             return
         for x in range(truncation.domain_size):
@@ -316,12 +308,12 @@ def verify_ldim1_all_significant(truncation: FiniteClass, *,
         if len(sample) == max_sample_len:
             return
         for x in range(truncation.domain_size):
-            for y in (0, 1):
-                sub = frozenset(r for r in rows if (r >> x) & 1 == y)
+            ones = v & truncation.columns[x]
+            for y, sub in ((0, v ^ ones), (1, ones)):
                 if sub:
                     sweep(sample.append(x, y), sub)
 
     if truncation.rows:
-        sweep(Sample(), truncation.rows)
+        sweep(Sample(), truncation.version_space(()))
     return SweepReport(not notes, tuple(notes), not failures,
                        tuple(failures[:5]), checked, artifacts)

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from littlelab.classes import (ClassFileError, EnumerableClass, FiniteClass,
                                Hypothesis, Tristate, constrain, empirical_loss,
@@ -84,6 +85,31 @@ def test_restrict_is_iterated_constrain():
     H = thresholds(2)
     s = Sample.of((0, 1), (2, 0))
     assert restrict(H, s) == constrain(constrain(H, 0, 1), 2, 0)
+
+
+@st.composite
+def classes_with_samples(draw):
+    domain = draw(st.integers(min_value=1, max_value=7))
+    rows = draw(st.frozensets(
+        st.integers(min_value=0, max_value=(1 << domain) - 1), max_size=14))
+    pairs = draw(st.lists(st.tuples(st.integers(min_value=0, max_value=domain - 1),
+                                    st.integers(min_value=0, max_value=1)), max_size=6))
+    return FiniteClass(domain, rows), Sample.of(*pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(classes_with_samples())
+def test_restrict_and_constrain_match_the_row_filter(case):
+    H, sample = case
+    assert restrict(H, sample).rows == frozenset(
+        r for r in H.rows if all((r >> x) & 1 == y for x, y in sample))
+    for x in H.domain():
+        for y in (0, 1):
+            assert constrain(H, x, y).rows == frozenset(
+                r for r in H.rows if (r >> x) & 1 == y)
+    n = H.domain_size
+    with pytest.raises(ValueError, match=f"^instance {n} outside domain of size {n}$"):
+        restrict(H, sample.append(n, 1))
 
 
 def test_empirical_loss_and_realizability():

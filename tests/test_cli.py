@@ -91,6 +91,27 @@ def test_missing_class_file_exit_code(capsys, tmp_path):
     assert code == 1
 
 
+def test_oracle_file_holding_a_list_exit_code(capsys, tmp_path):
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps([1, 2]))
+    code, _, err = run_cli(capsys, "demo-rer-halt", "--oracle", str(path))
+    assert code == 1
+    assert "expected a JSON object" in err and "Traceback" not in err
+
+
+def test_threshold_search_shortfall_exit_code(capsys):
+    code, _, err = run_cli(capsys, "demo-init", "--k", "100", "--x-cap", "10")
+    assert code == 1
+    assert "self-halting times" in err and "Traceback" not in err
+
+
+def test_diverging_learner_exit_code(capsys):
+    code, _, err = run_cli(capsys, "duel", "--builder", "thresholds",
+                           "--learner", "toy:1129")
+    assert code == 1
+    assert err.startswith("budget exhausted:") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 

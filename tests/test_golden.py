@@ -1,8 +1,15 @@
-"""The kernel-backed subcommands print byte-identical reports.
+"""The kernel- and version-space-backed subcommands print byte-identical
+reports.
 
 ``tests/golden/cases.json`` maps each case to its argument list and exit
-code; ``tests/golden/<case>.stdout`` holds the stdout captured before the
-bitset kernels replaced the tuple recursions.
+code; ``tests/golden/<case>.stdout`` holds its stdout.  The first nine cases
+(``ldim-*``, ``demo-*``, ``duel`` and ``significance``) were captured before
+the bitset kernels replaced the tuple recursions.  The other six
+(``duel-fallback``, ``duel-conservative``, ``duel-const1``,
+``significance-len2``, ``pac-eval`` and ``convert``) were captured before
+the explorer, the learners and the significance engines moved from row sets
+to the class's version-space bitset; together they cover every learner the
+explorer memoises, online-to-batch conversion and depth-2 realizable sweeps.
 """
 
 import json

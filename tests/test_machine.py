@@ -149,7 +149,7 @@ def test_machine_oracle_budgeted_answers():
 
 
 def test_table_oracle_defaults_and_lookup():
-    oracle = TableOracle({(4, 0): 1}, {(5, 5)})
+    oracle = TableOracle({(4, 0): 1})
     assert oracle.halts(4, 0) .status == HaltsAnswer.YES
     assert oracle.halts(4, 0).value == 1
     assert oracle.halts(5, 5).status == HaltsAnswer.NO
