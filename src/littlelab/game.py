@@ -195,10 +195,12 @@ def _realizable_samples(H: FiniteClass, max_len: int, cap: int):
     if not H.rows:
         return
     frontier: list[tuple[Sample, int]] = [(Sample(), H.version_space(()))]
-    for _ in range(max_len + 1):
+    for depth in range(max_len + 1):
         next_frontier: list[tuple[Sample, int]] = []
         for sample, v in frontier:
             yield sample
+            if depth == max_len:  # no level after this one is yielded
+                continue
             for x in range(cap):
                 ones = v & H.columns[x]
                 for y, sub in ((1, ones), (0, v ^ ones)):

@@ -15,6 +15,12 @@ The module also provides the effective enumeration of halting computations
 from a fixed input, halting certificates with a total verifier, and the
 HaltingOracle abstraction with a budgeted machine-backed implementation and
 an exact table-driven one for tests.
+
+Halting computations come from one dovetailer over the pairs (e, s), e + s
+ascending and then e ascending.  It keeps one live configuration per program:
+program e joins at diagonal e and steps once per later diagonal, so no pair
+re-runs its program from step 0.  Its cap (search_cap, budget, a
+MachineOracle's dovetail_budget) counts dovetail pairs, not machine steps.
 """
 
 from __future__ import annotations
@@ -22,7 +28,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Iterator, Mapping
+
+from .budget import FuelExhaustedError
 
 INC = "INC"
 DECJZ = "DECJZ"
@@ -238,36 +247,42 @@ class HaltingCertificate:
         return len(self.trace) - 1
 
 
-def _dovetail_pairs() -> Iterator[tuple[int, int]]:
-    """(program index e, step count s) in diagonal order: e+s ascending, e ascending."""
-    diagonal = 0
-    while True:
-        for e in range(diagonal + 1):
-            yield e, diagonal - e
-        diagonal += 1
+def _halting_computations(x: int, cap: int) -> Iterator[tuple[int, ToyProgram, int]]:
+    """(e, P_e, s) for each pair (e, s) among the first cap pairs in dovetail
+    order (e + s ascending, then e ascending) where P_e halts on x in exactly
+    s steps.  Program e starts at pair (e, 0) and steps once per diagonal, so
+    at (e, s) it has run exactly s steps; it leaves at its halting pair."""
+    live: list[tuple[int, ToyProgram, Config]] = []
+    for diagonal in count():
+        program = enumerate_programs(diagonal)
+        live.append((diagonal, program, _initial_config(program, x)))
+        first = diagonal * (diagonal + 1) // 2  # position of the pair (0, diagonal)
+        running: list[tuple[int, ToyProgram, Config]] = []
+        for e, program, config in live:
+            if first + e >= cap:  # every pair after this one sits later still
+                return
+            if _is_terminal(program, config):
+                yield e, program, diagonal - e
+            else:
+                running.append((e, program, _step(program, config)))
+        live = running
 
 
 def enumerate_halting_computations(x: int, i: int, *, search_cap: int = 500_000) -> HaltingCertificate:
     """The i-th (1-indexed) halting computation from input x in dovetail order.
 
     A pair (e, s) contributes iff program e on input x halts in exactly s
-    steps, so every halting program appears exactly once.
+    steps, so every halting program appears exactly once.  search_cap counts
+    dovetail pairs; running out of it raises FuelExhaustedError.
     """
     if i < 1:
         raise ValueError("certificate positions start at 1")
-    found = 0
-    for count, (e, s) in enumerate(_dovetail_pairs()):
-        if count >= search_cap:
-            raise RuntimeError(f"certificate {i} for input {x} not found within search cap")
-        program = enumerate_programs(e)
-        result = run(program, x, s)
-        if isinstance(result, Halted) and result.steps == s:
-            found += 1
-            if found == i:
-                trace = run_trace(program, x, s)
-                assert not isinstance(trace, Running)
-                return HaltingCertificate(e, x, trace)
-    raise AssertionError("unreachable")
+    for found, (e, program, s) in enumerate(_halting_computations(x, search_cap), start=1):
+        if found == i:
+            trace = run_trace(program, x, s)
+            assert not isinstance(trace, Running)
+            return HaltingCertificate(e, x, trace)
+    raise FuelExhaustedError(f"certificate {i} for input {x} not found within search cap")
 
 
 def p_cert(e: int, i: int, x: int, *, search_cap: int = 500_000) -> int:
@@ -289,18 +304,12 @@ def p_cert(e: int, i: int, x: int, *, search_cap: int = 500_000) -> int:
 def certificate_index(e: int, x: int, budget: int) -> int | None:
     """Position of P_e's halting computation from x in the dovetail order.
 
-    None means unknown within budget (the faithful partiality of the lookup).
+    None means unknown within budget dovetail pairs (the faithful partiality
+    of the lookup).
     """
-    found = 0
-    for count, (cand, s) in enumerate(_dovetail_pairs()):
-        if count >= budget:
-            return None
-        program = enumerate_programs(cand)
-        result = run(program, x, s)
-        if isinstance(result, Halted) and result.steps == s:
-            found += 1
-            if cand == e:
-                return found
+    for found, (cand, _, _) in enumerate(_halting_computations(x, budget), start=1):
+        if cand == e:
+            return found
     return None
 
 
@@ -338,7 +347,7 @@ class MachineOracle:
         return certificate_index(e, x, self.dovetail_budget)
 
     def cert_matches(self, e: int, i: int, x: int) -> bool:
-        return p_cert(e, i, x) == 1
+        return p_cert(e, i, x, search_cap=self.dovetail_budget) == 1
 
 
 class TableOracle:
@@ -382,9 +391,14 @@ class TableOracle:
             e_str, x_str = key.split(",")
             pair_key = (int(e_str), int(x_str))
             if isinstance(entry, dict) and "halts" in entry:
-                halting[pair_key] = int(entry["halts"])
+                for name in ("halts", "cert"):
+                    # Only a JSON integer; bool is an int subclass.
+                    if name in entry and type(entry[name]) is not int:
+                        raise ValueError(f"oracle entry {key!r}: {name!r} must be an "
+                                         f"integer, not {entry[name]!r}")
+                halting[pair_key] = entry["halts"]
                 if "cert" in entry:
-                    certificates[pair_key] = int(entry["cert"])
+                    certificates[pair_key] = entry["cert"]
             elif entry != "diverges":
                 raise ValueError(f"malformed oracle entry for {key!r}: {entry!r}")
         return TableOracle(halting, certificates)

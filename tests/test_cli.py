@@ -99,6 +99,16 @@ def test_oracle_file_holding_a_list_exit_code(capsys, tmp_path):
     assert "expected a JSON object" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry", [{"halts": [1]}, {"halts": 1, "cert": None},
+                                   {"halts": 1.5}, {"halts": True}])
+def test_oracle_file_with_a_non_integer_value_exit_code(capsys, tmp_path, entry):
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps({"0,0": entry}))
+    code, _, err = run_cli(capsys, "demo-rer-halt", "--oracle", str(path))
+    assert code == 1
+    assert "'0,0'" in err and "Traceback" not in err
+
+
 def test_threshold_search_shortfall_exit_code(capsys):
     code, _, err = run_cli(capsys, "demo-init", "--k", "100", "--x-cap", "10")
     assert code == 1

@@ -108,3 +108,18 @@ def test_mistake_bound_value_monotone_in_horizon():
     learner = constant_learner(1)
     values = [mistake_bound(learner, H, Horizon(t)).value for t in (1, 2, 4, 6)]
     assert values == sorted(values)
+
+
+def test_realizable_samples_build_no_level_past_the_last(monkeypatch):
+    appended = []
+    append = Sample.append
+
+    def counting_append(sample, x, y):
+        appended.append((x, y))
+        return append(sample, x, y)
+
+    monkeypatch.setattr(Sample, "append", counting_append)
+    H = hd_prime(2)
+    samples = list(_realizable_samples(H, 2, H.domain_size))
+    assert len(samples) == 79
+    assert len(appended) == 78  # one per nonempty sample yielded

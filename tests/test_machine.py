@@ -3,6 +3,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_machine as reference
+from littlelab.budget import FuelExhaustedError
 from littlelab.machine import (CONST0_INDEX, CONST0_PROGRAM, CONST1_INDEX,
                                CONST1_PROGRAM, DECJZ, HALT, INC, HaltsAnswer,
                                Halted, MachineOracle, RUNNING, TableOracle,
@@ -135,6 +137,26 @@ def test_certificate_positions_start_at_one():
         enumerate_halting_computations(0, 0)
 
 
+def test_dovetailer_matches_the_rerunning_reference():
+    for x in range(4):
+        for budget in (0, 1, 2, 3, 7, 50, 500, 5000):
+            for e in range(36):
+                assert (certificate_index(e, x, budget)
+                        == reference.certificate_index(e, x, budget)), (e, x, budget)
+    for x in (0, 1):
+        for cap in (5, 40, 300, 500_000):
+            for i in range(1, 31):
+                try:
+                    expected = reference.enumerate_halting_computations(x, i, search_cap=cap)
+                except RuntimeError as exc:
+                    with pytest.raises(FuelExhaustedError) as exhausted:
+                        enumerate_halting_computations(x, i, search_cap=cap)
+                    assert str(exhausted.value) == str(exc)
+                    continue
+                found = enumerate_halting_computations(x, i, search_cap=cap)
+                assert found == expected, (x, i, cap)
+
+
 # ---------------------------------------------------------------------------
 # Oracles
 
@@ -146,6 +168,13 @@ def test_machine_oracle_budgeted_answers():
     i = oracle.certificate_index(CONST0_INDEX, 0)
     assert i is not None and oracle.cert_matches(CONST0_INDEX, i, 0)
     assert oracle.certificate_index(index_of(LOOP), 0) is None
+
+
+def test_machine_oracle_cert_matches_honours_its_dovetail_budget():
+    i = MachineOracle(1_000).certificate_index(CONST0_INDEX, 0)
+    assert i is not None and i > 1
+    with pytest.raises(FuelExhaustedError, match="not found within search cap"):
+        MachineOracle(1_000, dovetail_budget=3).cert_matches(CONST0_INDEX, i, 0)
 
 
 def test_table_oracle_defaults_and_lookup():
