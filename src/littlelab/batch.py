@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Mapping
 
@@ -43,16 +44,17 @@ def point_loss(h, item: tuple[int, int]) -> Fraction:
 def online_to_batch(learner, sample: Sample) -> ProbabilisticHypothesis:
     """Average the learner's predictions over all prefixes of the sample.
 
-    The empty sample converts to the learner's prior prediction (T = 0 is
-    treated as averaging the single prediction on the empty history).
+    The T prefixes are those of length 0..T-1, so the last item is never
+    folded in.  The empty sample converts to the learner's prior prediction
+    (T = 0 is treated as averaging the single prediction on the empty
+    history).
     """
+    states = [learner.init]
+    for x, y in sample.items[:-1]:
+        states.append(learner.update(states[-1], x, y))
 
     def fn(x: int) -> Fraction:
-        if len(sample) == 0:
-            return Fraction(learner.predict(sample, x))
-        total = sum(Fraction(learner.predict(sample.prefix(t), x))
-                    for t in range(len(sample)))
-        return total / len(sample)
+        return sum(Fraction(learner.decide(state, x)) for state in states) / len(states)
 
     return ProbabilisticHypothesis(fn, tag=f"avg[{learner.name}]")
 
@@ -72,12 +74,11 @@ def expected_regret(learner, H: FiniteClass, T: int, *,
             f"{total} samples exceed the enumeration guard {enumeration_guard}")
     items = [(x, y) for x in range(cap) for y in (0, 1)]
     best = Fraction(0)
-    for choice in product(items, repeat=T):
-        sample = Sample.of(*choice)
-        learner_loss = sum(
-            (point_loss(lambda _x, t=t: learner.predict(sample.prefix(t), _x),
-                        sample.items[t]) for t in range(T)),
-            Fraction(0))
+    for sample in product(items, repeat=T):
+        learner_loss, state = Fraction(0), learner.init
+        for item in sample:
+            learner_loss += point_loss(partial(learner.decide, state), item)
+            state = learner.update(state, *item)
         class_loss = min(Fraction(empirical_loss(row, sample)) for row in H.rows)
         best = max(best, learner_loss - class_loss)
     return best

@@ -322,6 +322,7 @@ def cmd_convert(args) -> list[tuple[str, object]]:
     H = build_class(args)
     learner = build_learner(args.learner, H)
     sample = _parse_sample(args.sample)
+    H.version_space(sample)  # rejects instances outside the class domain
     predictor = batch.online_to_batch(learner, sample)
     queries = [int(q) for q in args.query.split(",")] if args.query else list(H.domain())
     return [(f"p({x})", str(predictor(x))) for x in queries]
@@ -335,12 +336,11 @@ def cmd_pac_eval(args) -> list[tuple[str, object]]:
     D = batch.FiniteDistribution.uniform_over(
         (x, (target >> x) & 1) for x in H.domain())
     errors = batch.pac_evaluate(learner, D, args.m, args.trials, args.seed + 1)
-    eps = Fraction(args.epsilon).limit_denominator(10 ** 6)
-    hits = sum(1 for err in errors if err <= eps)
+    hits = sum(1 for err in errors if err <= args.epsilon)
     return [("target_row", H.row_string(target)),
             ("trials", args.trials),
             ("m", args.m),
-            ("epsilon", str(eps)),
+            ("epsilon", str(args.epsilon)),
             ("success_rate", f"{hits}/{args.trials}")]
 
 
@@ -351,6 +351,32 @@ def _natural(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a natural number, got {value}")
+    return value
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
+def _epsilon(text: str) -> Fraction:
+    """A finite nonnegative rational, read exactly ("0.2" is 1/5).
+
+    Decimal exponents beyond 1e±100 are refused before Fraction expands them
+    into a power of ten of that many digits.
+    """
+    exponent = text.lower().partition("e")[2]
+    try:
+        if exponent and abs(int(exponent)) > 100:
+            raise ValueError(exponent)
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a finite rational with an exponent "
+                                         f"within ±100, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative rational, got {text!r}")
     return value
 
 
@@ -378,7 +404,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("significance", help="verdict sweep over short histories")
     _add_class_args(p)
-    p.add_argument("--max-len", type=int, default=1)
+    p.add_argument("--max-len", type=_natural, default=1)
     p.set_defaults(run=cmd_significance)
 
     p = sub.add_parser("demo-hdprime", help="optimal-but-not-anytime gap table")
@@ -428,10 +454,10 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pac-eval", help="seeded distributional evaluation")
     _add_class_args(p)
     p.add_argument("--learner", default="sol")
-    p.add_argument("--m", type=int, default=40)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--m", type=_natural, default=40)
+    p.add_argument("--trials", type=_positive, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=0.2)
+    p.add_argument("--epsilon", type=_epsilon, default="0.2")
     p.set_defaults(run=cmd_pac_eval)
 
     return parser

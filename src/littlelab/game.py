@@ -3,11 +3,12 @@
 The adversary ranges over realizable samples within an explicit horizon (the
 desk-scale truncation of the unbounded supremum); values are reported with
 their horizon and verified to stabilize by re-running at horizon + 2.
-Adversary instance order is ascending, with memoization keyed on
-(version-space bitset of the history, learner-visible history): history must
-be part of the key because arbitrary learners are history-dependent.  Learners
-that declare themselves version-space-measurable get the fast path keyed on
-the bitset alone.
+Adversary instance order is ascending.  The explorer carries the learner's
+state and the version-space bitset of the history, and memoises on
+(learner key, bitset, rounds left).  It skips a correctly predicted step that
+leaves the learner's key unchanged: equal keys predict alike and the step
+only shrinks the version space, so every continuation after it is also open
+without it.
 """
 
 from __future__ import annotations
@@ -59,11 +60,11 @@ def optimal_mistake_bound(H: FiniteClass) -> int:
 
 def mistakes_on_sample(learner, sample: Sample) -> int:
     """Exact mistake count of one run; predictions compared raw against labels."""
-    return sum(
-        1
-        for t, (x, y) in enumerate(sample)
-        if learner.predict(sample.prefix(t), x) != y
-    )
+    mistakes, state = 0, learner.init
+    for x, y in sample:
+        mistakes += learner.decide(state, x) != y
+        state = learner.update(state, x, y)
+    return mistakes
 
 
 class _Explorer:
@@ -76,59 +77,38 @@ class _Explorer:
         self.cap = horizon.cap(H)
         self.memo: dict = {}
 
-    def _redundant(self, sample: Sample, child: Sample, v: int, sub: int) -> bool:
-        """A correctly-predicted step the adversary cannot profit from.
-
-        For version-space-measurable learners a step that leaves the version
-        space unchanged is a no-op.  For learners with a declared history
-        key (a sufficient statistic of the history: the key of an extended
-        history is a function of the key and the extension), a correct step
-        that leaves the key unchanged only shrinks the adversary's options,
-        so any continuation value is already achievable without the step.
-        """
-        if self.learner.vs_measurable:
-            return sub == v
-        if self.learner.history_key is not None:
-            return self.learner.history_key(child) == self.learner.history_key(sample)
-        return False
-
-    def _state_key(self, sample: Sample, v: int, remaining: int):
-        if self.learner.vs_measurable:
-            return (v, remaining)
-        if self.learner.history_key is not None:
-            return (v, self.learner.history_key(sample), remaining)
-        return (v, sample.items, remaining)
-
     def future_mistakes(self, sample: Sample, remaining: int | None = None
                         ) -> tuple[int, tuple]:
         """(max additional mistakes, adversarial continuation) from `sample`."""
         v = self.H.version_space(sample)
         if not v:
             raise NotRealizableError(f"history {sample.items} is not realizable")
-        return self._explore(sample, v, self.horizon.t_max if remaining is None else remaining)
+        return self._explore(self.learner.state(sample), v,
+                             self.horizon.t_max if remaining is None else remaining)
 
-    def _explore(self, sample: Sample, v: int, remaining: int) -> tuple[int, tuple]:
+    def _explore(self, state, v: int, remaining: int) -> tuple[int, tuple]:
         if remaining == 0:
             return 0, ()
-        key = self._state_key(sample, v, remaining)
-        cached = self.memo.get(key)
+        learner = self.learner
+        key = learner.key(state)
+        cached = self.memo.get((key, v, remaining))
         if cached is not None:
             return cached
         best, best_continuation = 0, ()
         for x in range(self.cap):
-            prediction = self.learner.predict(sample, x)
+            prediction = learner.decide(state, x)
             ones = v & self.H.columns[x]
             for y, sub in ((0, v ^ ones), (1, ones)):
                 if not sub:
                     continue
-                child = sample.append(x, y)
-                if prediction == y and self._redundant(sample, child, v, sub):
+                child = learner.update(state, x, y)
+                if prediction == y and learner.key(child) == key:
                     continue
                 sub_value, sub_cont = self._explore(child, sub, remaining - 1)
                 value = int(prediction != y) + sub_value
                 if value > best:
                     best, best_continuation = value, ((x, y),) + sub_cont
-        self.memo[key] = (best, best_continuation)
+        self.memo[(key, v, remaining)] = (best, best_continuation)
         return best, best_continuation
 
 

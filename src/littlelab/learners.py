@@ -1,9 +1,11 @@
 """Online learners.
 
-A Learner wraps a prediction function over (history sample, queried instance).
-Optional metadata feeds the game-analysis memoizer: `vs_measurable` declares
-that predictions depend on the history only through the version space, and
-`history_key` supplies a coarser-than-full-history abstraction otherwise.
+A Learner is a state machine: `init` is its state on the empty history,
+`update(state, x, y)` folds one labelled instance in, and `decide(state, x)`
+predicts.  A state is hashable; `key(state)` (the state itself by default)
+is what predictions depend on, and the game analysis memoises on it.  sol's
+state is the version-space bitset, the block learners' is their current
+hypothesis, and learners that read the whole history keep the items tuple.
 
 Learners over the machine-backed classes (the halting-support families) work
 on the true natural-number instances; `relabeled` adapts them to the compact
@@ -12,7 +14,7 @@ re-indexed domains used by the exact game analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
 from .budget import FuelExhaustedError, FuelTank
@@ -25,15 +27,30 @@ from .machine import HaltsAnswer, apply2, Halted
 @dataclass(frozen=True)
 class Learner:
     name: str
-    fn: Callable[[Sample, int], int]
-    vs_measurable: bool = False
-    history_key: Callable[[Sample], Hashable] | None = None
+    init: Hashable
+    update: Callable[[Hashable, int, int], Hashable]
+    decide: Callable[[Hashable, int], int]
+    key: Callable[[Hashable], Hashable] = lambda state: state
+
+    def state(self, sample: Iterable[tuple[int, int]]) -> Hashable:
+        """The state after the history `sample`."""
+        state = self.init
+        for x, y in sample:
+            state = self.update(state, x, y)
+        return state
 
     def predict(self, sample: Sample, x: int) -> int:
-        return self.fn(sample, x)
+        return self.decide(self.state(sample), x)
 
     def __call__(self, sample: Sample, x: int) -> int:
-        return self.fn(sample, x)
+        return self.predict(sample, x)
+
+
+def _replaying(name: str, predict: Callable[[Sample, int], int]) -> Learner:
+    """A learner whose state is the whole history, for a prediction function
+    that reads the history as a Sample."""
+    return Learner(name, (), lambda items, x, y: items + ((x, y),),
+                   lambda items, x: predict(Sample(items), x))
 
 
 # ---------------------------------------------------------------------------
@@ -41,33 +58,31 @@ class Learner:
 
 def sol(H: FiniteClass) -> Learner:
     """Predict the label whose version-space restriction has the larger
-    Littlestone dimension, ties going to 1."""
+    Littlestone dimension, ties going to 1.  The state is the version-space
+    bitset of the history."""
 
-    def predict(sample: Sample, x: int) -> int:
-        v = H.version_space(sample)
-        one = ldim(H.restricted_to(v & H.version_space(((x, 1),))))
-        zero = ldim(H.restricted_to(v & H.version_space(((x, 0),))))
-        return int(one >= zero)
+    def update(v: int, x: int, y: int) -> int:
+        return v & H.version_space(((x, y),))
 
-    return Learner(f"sol[{H.domain_size}]", predict, vs_measurable=True)
+    def decide(v: int, x: int) -> int:
+        ones = v & H.version_space(((x, 1),))
+        return int(ldim(H.restricted_to(ones)) >= ldim(H.restricted_to(v ^ ones)))
+
+    return Learner(f"sol[{H.domain_size}]", H.version_space(()), update, decide)
 
 
 def constant_learner(bit: int) -> Learner:
     if bit not in (0, 1):
         raise ValueError("constant learners predict 0 or 1")
-    return Learner(f"const{bit}", lambda sample, x: bit, vs_measurable=True)
+    return Learner(f"const{bit}", (), lambda state, x, y: state, lambda state, x: bit)
 
 
 def conservative_learner() -> Learner:
-    """Predict 1 exactly on instances already seen labeled 1."""
-
-    def predict(sample: Sample, x: int) -> int:
-        return int(any(xt == x and yt == 1 for xt, yt in sample))
-
-    def key(sample: Sample) -> Hashable:
-        return frozenset(xt for xt, yt in sample if yt == 1)
-
-    return Learner("conservative", predict, history_key=key)
+    """Predict 1 exactly on instances already seen labeled 1.  The state is
+    the set of those instances."""
+    return Learner("conservative", frozenset(),
+                   lambda seen, x, y: seen | {x} if y == 1 else seen,
+                   lambda seen, x: int(x in seen))
 
 
 def threshold_fallback_learner(H: FiniteClass, fallback_rows: frozenset[int]) -> Learner:
@@ -83,6 +98,8 @@ def threshold_fallback_learner(H: FiniteClass, fallback_rows: frozenset[int]) ->
     errs once on each remaining fresh extra instance.  Any history containing
     a non-extra step (or a 0 label) drops it back to plain sol, which handles
     every such prefix optimally.
+
+    The state is (only extra positives so far, extras seen, sol's state).
     """
     inner = sol(H)
     domain_mask = (1 << H.domain_size) - 1
@@ -93,24 +110,21 @@ def threshold_fallback_learner(H: FiniteClass, fallback_rows: frozenset[int]) ->
         x for x in range(H.domain_size)
         if not (fallback_union >> x) & 1 and (domain_mask >> x) & 1)
 
-    def _all_extra_positives(sample: Sample) -> bool:
-        return all(xt in extras and yt == 1 for xt, yt in sample)
+    def update(state, x: int, y: int):
+        only_extra_positives, seen, v = state
+        return (only_extra_positives and x in extras and y == 1,
+                seen | {x} if x in extras else seen,
+                inner.update(v, x, y))
 
-    def predict(sample: Sample, x: int) -> int:
-        if (_all_extra_positives(sample) and x in extras
-                and all(xt != x for xt, _ in sample)):
+    def decide(state, x: int) -> int:
+        only_extra_positives, seen, v = state
+        # While the history holds only extras, `seen` is the whole history.
+        if only_extra_positives and x in extras and x not in seen:
             return 0
-        return inner.predict(sample, x)
+        return inner.decide(v, x)
 
-    def key(sample: Sample) -> Hashable:
-        # Sufficient statistic: each component updates pointwise per step.
-        return (
-            _all_extra_positives(sample),
-            frozenset(xt for xt, _ in sample if xt in extras),
-            H.version_space(sample),
-        )
-
-    return Learner("threshold-fallback", predict, history_key=key)
+    return Learner("threshold-fallback", (True, frozenset(), inner.init),
+                   update, decide)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +170,7 @@ def sig_predictor(H: EnumerableClass, d: int, fuel: int = 100_000) -> Learner:
             pairs = pairs + ((xt, yt),)
         return _race(H, pairs, x, d - mistakes, tank)
 
-    return Learner(f"sig[d={d}]", predict)
+    return _replaying(f"sig[d={d}]", predict)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +191,7 @@ def toy_learner(program_index: int, step_budget: int = 100_000) -> Learner:
                 f"program {program_index} not halted within {step_budget} steps")
         return result.output
 
-    return Learner(f"toy:{program_index}", predict)
+    return _replaying(f"toy:{program_index}", predict)
 
 
 # ---------------------------------------------------------------------------
@@ -194,29 +208,26 @@ def b_triple_blocks() -> Learner:
     {3e} always and {3e,3e+1}, {3e,3e+1,3e+2} on self-halting e.
 
     Predicts 0 until a mistake on x1 in the block of e, then matches
-    {3e, 3e+1, x1}; a second mistake pins the target down.
+    {3e, 3e+1, x1}; a second mistake pins the target down.  The state is
+    (e, support).
     """
 
-    def state(sample: Sample) -> tuple[int | None, frozenset[int] | None]:
-        e: int | None = None
-        support: frozenset[int] | None = None
-        for xt, yt in sample:
-            if _match(support, xt) == yt:
-                continue
-            if support is None:
-                e = xt // 3
-                support = frozenset({3 * e, 3 * e + 1, xt})
-            elif xt == 3 * e + 2 and yt == 1:
-                support = frozenset({3 * e, 3 * e + 1, 3 * e + 2})
-            elif xt == 3 * e + 1 and yt == 0:
-                support = frozenset({3 * e})
-            # Any other disagreement is unrealizable; keep the hypothesis.
-        return e, support
+    def update(state, xt: int, yt: int):
+        e, support = state
+        if _match(support, xt) == yt:
+            return state
+        if support is None:
+            e = xt // 3
+            return e, frozenset({3 * e, 3 * e + 1, xt})
+        if xt == 3 * e + 2 and yt == 1:
+            return e, frozenset({3 * e, 3 * e + 1, 3 * e + 2})
+        if xt == 3 * e + 1 and yt == 0:
+            return e, frozenset({3 * e})
+        # Any other disagreement is unrealizable; keep the hypothesis.
+        return state
 
-    def predict(sample: Sample, x: int) -> int:
-        return _match(state(sample)[1], x)
-
-    return Learner("b-triple-blocks", predict, history_key=state)
+    return Learner("b-triple-blocks", (None, None), update,
+                   lambda state, x: _match(state[1], x))
 
 
 _DR_PRIMES = (3, 5, 7, 11, 13)
@@ -286,13 +297,40 @@ def _block_members_halt(oracle, e: int) -> list[frozenset[int]]:
 
 
 def _resolve_target(candidates: Iterable[frozenset[int]],
-                    seen: list[tuple[int, int]],
+                    seen: tuple[tuple[int, int], ...],
                     current: frozenset[int]) -> frozenset[int]:
     """The canonically first candidate consistent with the whole history."""
     for support in sorted(candidates, key=sorted):
         if all(int(xt in support) == yt for xt, yt in seen):
             return support
     return current
+
+
+def _block_learner(name: str, first_support, members) -> Learner:
+    """A 2-mistake block learner whose state is (e, support, seen).
+
+    Until its first mistake it predicts 0.  A first mistake on a block
+    instance x1 = 2**e * y**i (factored as fac) matches
+    `first_support(x1, fac)`; every later mistake re-resolves the target
+    among `members(e)` against the whole history `seen`.  Predictions read
+    (e, support) only, which is the key.
+    """
+
+    def update(state, xt: int, yt: int):
+        e, support, seen = state
+        seen += ((xt, yt),)
+        if _match(support, xt) != yt:
+            if support is None:
+                fac = factor_block_instance(xt)
+                if fac is not None and yt == 1:
+                    e, support = fac[0], first_support(xt, fac)
+            elif e is not None:
+                support = _resolve_target(members(e), seen, support)
+        return e, support, seen
+
+    return Learner(name, (None, None, ()), update,
+                   lambda state, x: _match(state[1], x),
+                   key=lambda state: state[:2])
 
 
 def b_extended_blocks(oracle) -> Learner:
@@ -305,45 +343,23 @@ def b_extended_blocks(oracle) -> Learner:
     {2**e, 2**e*3**c0}.
     """
 
-    def state(sample: Sample) -> tuple[int | None, frozenset[int] | None]:
-        e: int | None = None
-        support: frozenset[int] | None = None
-        seen: list[tuple[int, int]] = []
-        for xt, yt in sample:
-            if _match(support, xt) != yt:
-                if support is None:
-                    fac = factor_block_instance(xt)
-                    if fac is not None and yt == 1:
-                        e, y, i = fac
-                        if y is not None:
-                            support = frozenset({2 ** e, xt})
-                        else:
-                            reply = oracle.halts(e, e)
-                            if reply.status == HaltsAnswer.YES and reply.value == 1:
-                                support = frozenset(
-                                    {2 ** e, 2 ** e * 5 ** _c_value(oracle, e, 0)})
-                            elif reply.status == HaltsAnswer.YES and reply.value == 0:
-                                # Matching the two-element {2^e, 2^e 13^ce}
-                                # admits a third mistake (after erring on
-                                # (2^e 3^c0, 1) two candidates remain); the
-                                # member below keeps every second mistake
-                                # target-determining.
-                                support = frozenset(
-                                    {2 ** e, 2 ** e * 3 ** _c_value(oracle, e, 0),
-                                     2 ** e * 13 ** _c_value(oracle, e, e)})
-                            else:
-                                support = frozenset(
-                                    {2 ** e, 2 ** e * 3 ** _c_value(oracle, e, 0)})
-                elif e is not None:
-                    support = _resolve_target(
-                        _block_members_ext(oracle, e), seen + [(xt, yt)], support)
-            seen.append((xt, yt))
-        return e, support
+    def first_support(xt: int, fac) -> frozenset[int]:
+        e, y, _ = fac
+        if y is not None:
+            return frozenset({2 ** e, xt})
+        reply = oracle.halts(e, e)
+        if reply.status == HaltsAnswer.YES and reply.value == 1:
+            return frozenset({2 ** e, 2 ** e * 5 ** _c_value(oracle, e, 0)})
+        if reply.status == HaltsAnswer.YES and reply.value == 0:
+            # Matching the two-element {2^e, 2^e 13^ce} admits a third
+            # mistake (after erring on (2^e 3^c0, 1) two candidates remain);
+            # the member below keeps every second mistake target-determining.
+            return frozenset({2 ** e, 2 ** e * 3 ** _c_value(oracle, e, 0),
+                              2 ** e * 13 ** _c_value(oracle, e, e)})
+        return frozenset({2 ** e, 2 ** e * 3 ** _c_value(oracle, e, 0)})
 
-    def predict(sample: Sample, x: int) -> int:
-        return _match(state(sample)[1], x)
-
-    return Learner("b-extended-blocks", predict, history_key=state)
+    return _block_learner("b-extended-blocks", first_support,
+                          lambda e: _block_members_ext(oracle, e))
 
 
 def b_two_tier_blocks(oracle) -> Learner:
@@ -351,37 +367,22 @@ def b_two_tier_blocks(oracle) -> Learner:
 
     First mistake on x1 = 2**e * y**i with y in {5,7,11} matches
     {2**e, 2**e*5**c0, x1}; on x1 = 2**e * 3**i matches {2**e, x1}; on
-    x1 = 2**e matches {2**e, 2**e*5**c0}.
+    x1 = 2**e matches {2**e, 2**e*5**c0}.  A first mistake on any other
+    block instance fixes e but no support.
     """
 
-    def state(sample: Sample) -> tuple[int | None, frozenset[int] | None]:
-        e: int | None = None
-        support: frozenset[int] | None = None
-        seen: list[tuple[int, int]] = []
-        for xt, yt in sample:
-            if _match(support, xt) != yt:
-                if support is None:
-                    fac = factor_block_instance(xt)
-                    if fac is not None and yt == 1:
-                        e, y, i = fac
-                        if y == 3:
-                            support = frozenset({2 ** e, xt})
-                        elif y in (5, 7, 11):
-                            support = frozenset(
-                                {2 ** e, 2 ** e * 5 ** _c_value(oracle, e, 0), xt})
-                        elif y is None:
-                            support = frozenset(
-                                {2 ** e, 2 ** e * 5 ** _c_value(oracle, e, 0)})
-                elif e is not None:
-                    support = _resolve_target(
-                        _block_members_halt(oracle, e), seen + [(xt, yt)], support)
-            seen.append((xt, yt))
-        return e, support
+    def first_support(xt: int, fac) -> frozenset[int] | None:
+        e, y, _ = fac
+        if y == 3:
+            return frozenset({2 ** e, xt})
+        if y in (5, 7, 11):
+            return frozenset({2 ** e, 2 ** e * 5 ** _c_value(oracle, e, 0), xt})
+        if y is None:
+            return frozenset({2 ** e, 2 ** e * 5 ** _c_value(oracle, e, 0)})
+        return None
 
-    def predict(sample: Sample, x: int) -> int:
-        return _match(state(sample)[1], x)
-
-    return Learner("b-two-tier-blocks", predict, history_key=state)
+    return _block_learner("b-two-tier-blocks", first_support,
+                          lambda e: _block_members_halt(oracle, e))
 
 
 # ---------------------------------------------------------------------------
@@ -389,18 +390,9 @@ def b_two_tier_blocks(oracle) -> Learner:
 
 def relabeled(learner: Learner, to_natural: Callable[[int], int],
               name: str | None = None) -> Learner:
-    """Adapt a learner over true naturals to a compact re-indexed domain."""
-
-    def translate(sample: Sample) -> Sample:
-        return Sample.of(*((to_natural(xt), yt) for xt, yt in sample))
-
-    def predict(sample: Sample, x: int) -> int:
-        return learner.predict(translate(sample), to_natural(x))
-
-    if learner.history_key is not None:
-        key = lambda sample: learner.history_key(translate(sample))
-    else:
-        key = lambda sample: sample.items
-
-    return Learner(name or f"{learner.name}@reindexed", predict,
-                   history_key=key)
+    """Adapt a learner over true naturals to a compact re-indexed domain.
+    The state is the inner learner's, and so is the key."""
+    return Learner(name or f"{learner.name}@reindexed", learner.init,
+                   lambda state, x, y: learner.update(state, to_natural(x), y),
+                   lambda state, x: learner.decide(state, to_natural(x)),
+                   learner.key)

@@ -194,3 +194,31 @@ def test_pac_eval_deterministic(capsys):
     first = run_cli(capsys, *args)
     second = run_cli(capsys, *args)
     assert first == second and first[0] == 0
+
+
+@pytest.mark.parametrize("learner", ["const1", "sol"])
+def test_convert_rejects_out_of_domain_sample(capsys, learner):
+    # The last item is never folded into a prefix state, so only the
+    # sample check sees its instance.
+    code, _, err = run_cli(capsys, "convert", "--builder", "thresholds", "--d", "2",
+                           "--learner", learner, "--sample", "9:1")
+    assert code == 1
+    assert "instance 9 outside domain of size 4" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("pac-eval", "--trials", "-1"),
+    ("pac-eval", "--trials", "0"),
+    ("pac-eval", "--m", "-3"),
+    ("pac-eval", "--epsilon", "inf"),
+    ("pac-eval", "--epsilon", "nan"),
+    ("pac-eval", "--epsilon", "-0.1"),
+    ("pac-eval", "--epsilon", "1/0"),
+    ("pac-eval", "--epsilon", "1e999999999"),
+    ("significance", "--max-len", "-1"),
+])
+def test_learner_command_bounds_are_checked_at_parse_time(capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], "--builder", "thresholds", *argv[1:])
+    assert code == 1
+    assert out == "" and "Traceback" not in err
+    assert f"argument {argv[1]}" in err

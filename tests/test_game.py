@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from littlelab.classes import (FiniteClass, hd_prime, restrict, singletons,
                                thresholds)
@@ -123,3 +124,32 @@ def test_realizable_samples_build_no_level_past_the_last(monkeypatch):
     samples = list(_realizable_samples(H, 2, H.domain_size))
     assert len(samples) == 79
     assert len(appended) == 78  # one per nonempty sample yielded
+
+
+@st.composite
+def learners_on_classes(draw):
+    domain = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.frozensets(st.integers(min_value=0, max_value=(1 << domain) - 1),
+                              min_size=1, max_size=8))
+    H = FiniteClass(domain, rows)
+    kind = draw(st.sampled_from(["sol", "const0", "const1", "conservative", "fallback"]))
+    if kind == "sol":
+        learner = sol(H)
+    elif kind == "conservative":
+        learner = conservative_learner()
+    elif kind == "fallback":
+        learner = threshold_fallback_learner(H, draw(st.frozensets(st.sampled_from(sorted(rows)))))
+    else:
+        learner = constant_learner(int(kind[-1]))
+    return learner, H, draw(st.integers(min_value=1, max_value=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(learners_on_classes())
+def test_mistake_bound_is_the_worst_realizable_sample(case):
+    # The explorer skips correct steps that keep the learner's key; the
+    # definition is the plain maximum over every realizable sample.
+    learner, H, t = case
+    worst = max(mistakes_on_sample(learner, sample)
+                for sample in _realizable_samples(H, t, H.domain_size))
+    assert mistake_bound(learner, H, Horizon(t)).value == worst

@@ -10,6 +10,12 @@ the bitset kernels replaced the tuple recursions.  The other six
 the explorer, the learners and the significance engines moved from row sets
 to the class's version-space bitset; together they cover every learner the
 explorer memoises, online-to-batch conversion and depth-2 realizable sweeps.
+The last five (``demo-split``, ``duel-toy``, ``duel-const0``,
+``convert-fallback`` and ``pac-eval-conservative``) were captured before
+learners became state machines (init, update, decide, key): they cover the
+machine-coded learner through mistake counting and through the explorer,
+the explorer's skip rule for a constant learner, and online-to-batch
+conversion of the fallback and conservative learners.
 """
 
 import json
