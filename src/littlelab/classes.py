@@ -56,6 +56,8 @@ class FiniteClass:
     domain_size: int
     rows: frozenset[int]
     sorted_rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _ldim_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _game_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.domain_size < 0:
@@ -76,6 +78,19 @@ class FiniteClass:
     def columns(self) -> tuple[int, ...]:
         """Bit i of columns[x] is set when sorted_rows[i] labels x with 1."""
         return kernels.columns(self.sorted_rows, self.domain_size)
+
+    @cached_property
+    def splits(self) -> tuple[tuple[int, int], ...]:
+        """(x, columns[x]) for the first instance x of each distinct split, ascending."""
+        return kernels.splits(self.columns, (1 << len(self.rows)) - 1)
+
+    def ldim_of(self, v: int) -> int:
+        """Littlestone dimension of the rows in version space v; -1 for v = 0."""
+        return kernels.ldim(v, self.splits, self._ldim_memo)
+
+    def game_value_of(self, v: int) -> int:
+        """Minimax mistake bound of the rows in version space v; 0 for v = 0."""
+        return kernels.game_value(v, self.splits, self._game_memo)
 
     def version_space(self, sample: Iterable[tuple[int, int]]) -> int:
         """Bitset of the rows consistent with the sample (bit i: sorted_rows[i])."""
@@ -271,6 +286,10 @@ def from_file(path: str) -> FiniteClass:
         raise ClassFileError(f"{path}: expected keys domain_size and hypotheses")
     n = payload["domain_size"]
     rows = payload["hypotheses"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ClassFileError(f"{path}: domain_size must be a natural number, got {n!r}")
+    if not isinstance(rows, list):
+        raise ClassFileError(f"{path}: hypotheses must be a list, got {type(rows).__name__}")
     masks = set()
     for entry_no, line in enumerate(rows, start=1):
         if not isinstance(line, str) or len(line) != n or set(line) - {"0", "1"}:

@@ -325,6 +325,9 @@ def cmd_convert(args) -> list[tuple[str, object]]:
     H.version_space(sample)  # rejects instances outside the class domain
     predictor = batch.online_to_batch(learner, sample)
     queries = [int(q) for q in args.query.split(",")] if args.query else list(H.domain())
+    for x in queries:
+        if not 0 <= x < H.domain_size:
+            raise UsageError(f"instance {x} outside domain of size {H.domain_size}")
     return [(f"p({x})", str(predictor(x))) for x in queries]
 
 
@@ -383,8 +386,8 @@ def _epsilon(text: str) -> Fraction:
 def _add_class_args(p) -> None:
     p.add_argument("--builder", choices=["thresholds", "singletons", "hd-prime"])
     p.add_argument("--file")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--d", type=_positive, default=2)
+    p.add_argument("--n", type=_positive, default=4)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -399,7 +402,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("duel", help="learner vs exhaustive adversary")
     _add_class_args(p)
     p.add_argument("--learner", required=True)
-    p.add_argument("--horizon", type=int, default=6)
+    p.add_argument("--horizon", type=_positive, default=6)
     p.set_defaults(run=cmd_duel)
 
     p = sub.add_parser("significance", help="verdict sweep over short histories")
@@ -408,35 +411,35 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_significance)
 
     p = sub.add_parser("demo-hdprime", help="optimal-but-not-anytime gap table")
-    p.add_argument("--d", type=int, default=3)
+    p.add_argument("--d", type=_positive, default=3)
     p.set_defaults(run=cmd_demo_hdprime)
 
     p = sub.add_parser("demo-rer-halt", help="forced predictions mirror halting bits")
     p.add_argument("--oracle")
-    p.add_argument("--e-max", type=int, default=9)
+    p.add_argument("--e-max", type=_positive, default=9)
     p.set_defaults(run=cmd_demo_rer_halt)
 
     p = sub.add_parser("demo-dr-ext", help="extended certificate-block family")
     p.add_argument("--oracle")
-    p.add_argument("--e-max", type=int, default=9)
+    p.add_argument("--e-max", type=_positive, default=9)
     p.set_defaults(run=cmd_demo_dr_ext)
 
     p = sub.add_parser("demo-dr-halt", help="two-tier certificate-block family")
     p.add_argument("--oracle")
-    p.add_argument("--e-max", type=int, default=9)
+    p.add_argument("--e-max", type=_positive, default=9)
     p.set_defaults(run=cmd_demo_dr_halt)
 
     p = sub.add_parser("demo-split", help="diagonal forcing-sample replay")
-    p.add_argument("--e", type=int, default=0)
+    p.add_argument("--e", type=_natural, default=0)
     p.add_argument("--M", type=_natural, default=2)
-    p.add_argument("--step-budget", type=int, default=10_000)
-    p.add_argument("--i-max", type=int, default=5)
+    p.add_argument("--step-budget", type=_natural, default=10_000)
+    p.add_argument("--i-max", type=_positive, default=5)
     p.set_defaults(run=cmd_demo_split)
 
     p = sub.add_parser("demo-init", help="threshold search in the stage family")
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--step-cap", type=int, default=10_000)
-    p.add_argument("--x-cap", type=int, default=5_000)
+    p.add_argument("--k", type=_positive, default=4)
+    p.add_argument("--step-cap", type=_natural, default=10_000)
+    p.add_argument("--x-cap", type=_natural, default=5_000)
     p.set_defaults(run=cmd_demo_init)
 
     p = sub.add_parser("build", help="write a class file")

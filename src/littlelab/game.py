@@ -14,13 +14,10 @@ without it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from . import kernels
-from .classes import FiniteClass, restrict
+from .classes import FiniteClass
 from .core import Sample
 from .errors import NotRealizableError, PropertyViolation
-from .littlestone import ldim
 
 
 @dataclass(frozen=True)
@@ -45,17 +42,13 @@ class GameValue:
     horizon: int
 
 
-@lru_cache(maxsize=None)
-def _game_value_cached(masks: tuple[int, ...], domain_size: int) -> int:
-    return kernels.game_value_masks(masks, domain_size)
-
-
 def optimal_mistake_bound(H: FiniteClass) -> int:
     """Minimax value over all deterministic learners and adversaries.
 
-    Computed by the game recursion, independently of the ldim engine.
+    Computed by the game recursion (through the class's own memo,
+    ``FiniteClass.game_value_of``), independently of the ldim engine.
     """
-    return _game_value_cached(H.sorted_rows, H.domain_size)
+    return H.game_value_of(H.version_space(()))
 
 
 def mistakes_on_sample(learner, sample: Sample) -> int:
@@ -138,11 +131,11 @@ def optimal_post_sample_bound(H: FiniteClass, sample: Sample) -> int:
     Internally asserted equal to the Littlestone dimension of the version
     space (the two engines must agree).
     """
-    version_space = restrict(H, sample)
-    if not version_space:
+    v = H.version_space(sample)
+    if not v:
         raise NotRealizableError(f"sample {sample.items} is not realizable")
-    value = optimal_mistake_bound(version_space)
-    dimension = ldim(version_space)
+    value = H.game_value_of(v)
+    dimension = H.ldim_of(v)
     if value != dimension:
         raise PropertyViolation(
             f"minimax value {value} != version-space ldim {dimension}")

@@ -1,13 +1,12 @@
 """Littlestone-dimension and game-value kernels over bitset version spaces.
 
-Both kernels take a class as its sorted tuple of row masks plus the domain
-size.  A version space is an int whose bit i is set when row i is still
-consistent, so the whole class is ``(1 << len(rows)) - 1``.  Each instance x
-becomes one column bitset, the rows labelling x with 1; splitting a version
-space v on x yields ``v ^ (v & col)`` (label 0) and ``v & col`` (label 1).
-A constant column never splits anything, and a column equal to an earlier one
-or to its complement splits every version space the same way, so only the
-first column of each distinct split is kept.
+A version space is an int whose bit i is set when row i of a class's sorted
+rows is still consistent.  Each instance x becomes one column bitset, the rows
+labelling x with 1; splitting v on x yields ``v ^ (v & col)`` (label 0) and
+``v & col`` (label 1).  A constant column never splits anything, and a column
+equal to an earlier one or to its complement splits every version space the
+same way, so only the first column of each distinct split is kept; both stay
+true inside every sub-version-space, so a class's splits serve all of them.
 
 Two bounds prune the recursions, and both are admissible:
 
@@ -17,8 +16,10 @@ Two bounds prune the recursions, and both are admissible:
 * a split whose best possible value, computed from those bounds on its two
   sides, cannot beat the best split so far is skipped.
 
-The two recursions stay separate, so each checks the other.  Memo tables are
-keyed on the version-space int and confined to one top-level call.
+The two recursions stay separate, so each checks the other.  Each writes the
+exact value of every version space it finishes into a memo its caller owns,
+so one memo per class serves every call (``FiniteClass.ldim_of`` and
+``game_value_of``).
 """
 
 from __future__ import annotations
@@ -36,29 +37,21 @@ def columns(rows: tuple[int, ...], domain_size: int) -> tuple[int, ...]:
     return tuple(cols)
 
 
-def _splits(rows: tuple[int, ...], domain_size: int) -> tuple[int, list[tuple[int, int]]]:
-    """The full version space and one (x, column) per distinct split, in
+def splits(cols: tuple[int, ...], full: int) -> tuple[tuple[int, int], ...]:
+    """One (x, column) per distinct split of version space `full`, in
     ascending x: x is the first instance inducing that split."""
-    full = (1 << len(rows)) - 1
     seen = {0, full}
-    splits = []
-    for x, col in enumerate(columns(rows, domain_size)):
+    kept = []
+    for x, col in enumerate(cols):
         if col not in seen:
-            seen.add(col)
-            seen.add(full ^ col)
-            splits.append((x, col))
-    return full, splits
+            seen.update((col, full ^ col))
+            kept.append((x, col))
+    return tuple(kept)
 
 
-def ldim_masks(rows: tuple[int, ...], domain_size: int) -> int:
-    """Depth of the deepest shattered tree, by the splitting recursion:
-    ldim(v) = max over splits of 1 + min(ldim(zeros), ldim(ones))."""
-    full, splits = _splits(rows, domain_size)
-    if not full:
-        return -1
-    columns = [col for _, col in splits]
-    memo: dict[int, int] = {}
-
+def ldim(v: int, splits: tuple[tuple[int, int], ...], memo: dict[int, int]) -> int:
+    """Depth of the deepest shattered tree of v (-1 for v = 0), by the splitting
+    recursion: ldim(v) = max over splits of 1 + min(ldim(zeros), ldim(ones))."""
     def rec(v: int) -> int:
         if not v & (v - 1):
             return 0
@@ -67,7 +60,7 @@ def ldim_masks(rows: tuple[int, ...], domain_size: int) -> int:
             return cached
         cap = v.bit_count().bit_length() - 1
         best = 0
-        for col in columns:
+        for _, col in splits:
             ones = v & col
             if not ones or ones == v:
                 continue
@@ -90,16 +83,12 @@ def ldim_masks(rows: tuple[int, ...], domain_size: int) -> int:
         memo[v] = best
         return best
 
-    return rec(full)
+    return rec(v) if v else -1
 
 
-def game_value_masks(rows: tuple[int, ...], domain_size: int) -> int:
-    """Minimax mistake count: the adversary picks an instance and a feasible
+def game_value(v: int, splits: tuple[tuple[int, int], ...], memo: dict[int, int]) -> int:
+    """Minimax mistake count on v: the adversary picks an instance and a feasible
     label, the learner a prediction; independent of the ldim recursion."""
-    full, splits = _splits(rows, domain_size)
-    columns = [col for _, col in splits]
-    memo: dict[int, int] = {}
-
     def rec(v: int) -> int:
         if not v & (v - 1):
             return 0
@@ -108,7 +97,7 @@ def game_value_masks(rows: tuple[int, ...], domain_size: int) -> int:
             return cached
         cap = v.bit_count().bit_length() - 1
         best = 0
-        for col in columns:
+        for _, col in splits:
             ones = v & col
             if not ones or ones == v:
                 continue
@@ -129,4 +118,14 @@ def game_value_masks(rows: tuple[int, ...], domain_size: int) -> int:
         memo[v] = best
         return best
 
-    return rec(full)
+    return rec(v)
+
+
+def ldim_masks(rows: tuple[int, ...], domain_size: int) -> int:
+    full = (1 << len(rows)) - 1
+    return ldim(full, splits(columns(rows, domain_size), full), {})
+
+
+def game_value_masks(rows: tuple[int, ...], domain_size: int) -> int:
+    full = (1 << len(rows)) - 1
+    return game_value(full, splits(columns(rows, domain_size), full), {})

@@ -20,7 +20,7 @@ from typing import Callable, Hashable, Iterable
 from .budget import FuelExhaustedError, FuelTank
 from .classes import EnumerableClass, FiniteClass
 from .core import Sample, encode_sample
-from .littlestone import ShatteredTree, ldim, tree_enumerator
+from .littlestone import ShatteredTree, tree_enumerator
 from .machine import HaltsAnswer, apply2, Halted
 
 
@@ -66,7 +66,7 @@ def sol(H: FiniteClass) -> Learner:
 
     def decide(v: int, x: int) -> int:
         ones = v & H.version_space(((x, 1),))
-        return int(ldim(H.restricted_to(ones)) >= ldim(H.restricted_to(v ^ ones)))
+        return int(H.ldim_of(ones) >= H.ldim_of(v ^ ones))
 
     return Learner(f"sol[{H.domain_size}]", H.version_space(()), update, decide)
 

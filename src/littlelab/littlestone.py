@@ -1,5 +1,6 @@
-"""Littlestone dimension: memoized recursion, direct tree search, and the
-dovetailing witness enumerator for budgeted enumerable classes.
+"""Littlestone dimension: the splitting recursion (through the class's own
+memo, ``FiniteClass.ldim_of``), direct tree search, and the dovetailing
+witness enumerator for budgeted enumerable classes.
 
 Shattered trees are stored in heap layout: nodes (x_1, ..., x_{2^d - 1}) with
 the root at position 1, and the two children of position i at 2i and 2i + 1.
@@ -9,10 +10,8 @@ A label path (y_1, ..., y_d) therefore visits i_{j+1} = 2 i_j + y_j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
-from . import kernels
 from .budget import FuelExhaustedError, FuelTank
 from .classes import EnumerableClass, FiniteClass
 
@@ -40,21 +39,16 @@ class ShatteredTree:
             yield tuple(constraints)
 
 
-@lru_cache(maxsize=None)
-def _ldim_cached(masks: tuple[int, ...], domain_size: int) -> int:
-    return kernels.ldim_masks(masks, domain_size)
-
-
 def ldim(H: FiniteClass) -> int:
-    """Exact Littlestone dimension; -1 for the empty class."""
-    return _ldim_cached(H.sorted_rows, H.domain_size)
+    """Exact Littlestone dimension, by the splitting recursion; -1 for the empty class."""
+    return H.ldim_of(H.version_space(()))
 
 
-def _search(v: int, splits: list[tuple[int, int]], depth: int):
+def _search(v: int, splits: tuple[tuple[int, int], ...], depth: int):
     """Nested (x, left, right) witness structure for version space v, or None.
 
     Instances are tried in ascending order.  ``splits`` keeps only the first
-    x of each distinct split (``kernels._splits``); that is exact, because a
+    x of each distinct split (``FiniteClass.splits``); that is exact, because a
     later x whose column equals an earlier column, or its complement, fails
     exactly when the earlier x fails, so the first witness is unchanged.
     """
@@ -95,8 +89,7 @@ def find_shattered_tree(H: FiniteClass, d: int) -> ShatteredTree | None:
     """Exhaustive search for a depth-d witness; None certifies there is none."""
     if d < 1:
         raise ValueError("witness search needs depth >= 1")
-    full, splits = kernels._splits(H.sorted_rows, H.domain_size)
-    structure = _search(full, splits, d)
+    structure = _search(H.version_space(()), H.splits, d)
     if structure is None:
         return None
     return ShatteredTree(_flatten(structure, d), d)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator
 
-from .classes import FiniteClass, restrict
+from .classes import FiniteClass
 from .core import Sample
 from .errors import InstanceTooLargeError, NotRealizableError
 from .game import optimal_mistake_bound
@@ -42,7 +42,7 @@ def _step_dimensions(H: FiniteClass, v: int, steps) -> Iterator[tuple[tuple, boo
     and whether is_opt_significant's conditions hold there (a None label skips (2))."""
     for x, y in steps:
         ones = v & H.version_space(((x, 1),))
-        dim, one, zero = (ldim(H.restricted_to(u)) for u in (v, ones, v ^ ones))
+        dim, one, zero = (H.ldim_of(u) for u in (v, ones, v ^ ones))
         yield (x, dim, one, zero), dim == max(one, zero) and (
             y is None or (one if y == 1 else zero) >= dim - 1)
         v = ones if y == 1 else v ^ ones
@@ -124,7 +124,7 @@ def _chain_game_value(H: FiniteClass, chain: tuple, pins: dict,
             if t < len(chain) and (x, y) == tuple(chain[t]):
                 value = _chain_game_value(H, chain, pins, t + 1, sub, remaining - 1)
             else:
-                value = min(ldim(H.restricted_to(sub)), remaining - 1)
+                value = min(H.ldim_of(sub), remaining - 1)
             outcomes[y] = value
         if not outcomes:
             continue
@@ -170,10 +170,10 @@ def brute_force_aopt_significant(H: FiniteClass, sample: Sample, x: int, *,
     _check_caps(H, sample, max_domain=max_domain, max_rows=max_rows,
                 max_sample_len=max_sample_len)
     _require_realizable(H, sample)
+    dims = [H.ldim_of(H.version_space(sample.items[:t])) for t in range(len(sample) + 1)]
     achievable = []
     for r in (0, 1):
         values = _pinned_values(H, sample, {len(sample): (x, r)})
-        dims = [ldim(restrict(H, sample.prefix(t))) for t in range(len(sample) + 1)]
         if all(value <= dim for value, dim in zip(values, dims)):
             achievable.append(r)
     if len(achievable) == 1:
@@ -225,7 +225,7 @@ def check_condition_equivalence(H: FiniteClass, sample: Sample, *,
                                 max_sample_len: int = 4) -> EquivalenceReport:
     """The per-step dimension conditions hold iff every optimal learner makes
     exactly dim(H) - dim(H_S) mistakes on the sample."""
-    expected = ldim(H) - ldim(restrict(H, sample))
+    expected = ldim(H) - H.ldim_of(H.version_space(sample))
     counts = achievable_mistake_counts(H, sample, max_domain=max_domain,
                                        max_rows=max_rows,
                                        max_sample_len=max_sample_len)
@@ -248,7 +248,7 @@ def check_forced_mistake_count(H: FiniteClass, sample: Sample, x: int, *,
     if len(counts) != 1:
         raise AssertionError(f"expected a unique mistake count, got {counts}")
     (m,) = counts
-    if ldim(restrict(H, sample)) != ldim(H) - m:
+    if H.ldim_of(H.version_space(sample)) != ldim(H) - m:
         raise AssertionError("version-space dimension does not match mistakes")
     return m
 

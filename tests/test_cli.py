@@ -109,6 +109,21 @@ def test_oracle_file_with_a_non_integer_value_exit_code(capsys, tmp_path, entry)
     assert "'0,0'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("payload, field", [
+    ({"domain_size": 2, "hypotheses": 5}, "hypotheses"),
+    ({"domain_size": 2, "hypotheses": "01"}, "hypotheses"),
+    ({"domain_size": 2.5, "hypotheses": ["01"]}, "domain_size"),
+    ({"domain_size": True, "hypotheses": ["0"]}, "domain_size"),
+    ({"domain_size": -1, "hypotheses": []}, "domain_size"),
+])
+def test_class_file_with_a_mistyped_field_exit_code(capsys, tmp_path, payload, field):
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "ldim", "--file", str(path))
+    assert code == 1
+    assert out == "" and f"{field} must be" in err and "Traceback" not in err
+
+
 def test_threshold_search_shortfall_exit_code(capsys):
     code, _, err = run_cli(capsys, "demo-init", "--k", "100", "--x-cap", "10")
     assert code == 1
@@ -222,3 +237,33 @@ def test_learner_command_bounds_are_checked_at_parse_time(capsys, argv):
     assert code == 1
     assert out == "" and "Traceback" not in err
     assert f"argument {argv[1]}" in err
+
+
+def test_convert_rejects_out_of_domain_query(capsys):
+    # const1 never consults the class, so only the query check sees 9.
+    code, out, err = run_cli(capsys, "convert", "--builder", "thresholds", "--d", "2",
+                             "--learner", "const1", "--query", "9")
+    assert code == 1
+    assert out == "" and "instance 9 outside domain of size 4" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("duel", "--builder", "thresholds", "--learner", "sol", "--horizon", "0"),
+    ("ldim", "--builder", "thresholds", "--d", "0"),
+    ("ldim", "--builder", "singletons", "--n", "-2"),
+    ("demo-hdprime", "--d", "-1"),
+    ("demo-rer-halt", "--e-max", "0"),
+    ("demo-dr-ext", "--e-max", "0"),
+    ("demo-dr-halt", "--e-max", "-1"),
+    ("demo-split", "--i-max", "0"),
+    ("demo-split", "--e", "-1"),
+    ("demo-split", "--step-budget", "-1"),
+    ("demo-init", "--k", "0"),
+    ("demo-init", "--step-cap", "-1"),
+    ("demo-init", "--x-cap", "-5"),
+])
+def test_size_and_budget_flags_are_checked_at_parse_time(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == "" and "Traceback" not in err
+    assert f"argument {argv[-2]}" in err

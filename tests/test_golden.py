@@ -15,7 +15,10 @@ The last five (``demo-split``, ``duel-toy``, ``duel-const0``,
 learners became state machines (init, update, decide, key): they cover the
 machine-coded learner through mistake counting and through the explorer,
 the explorer's skip rule for a constant learner, and online-to-batch
-conversion of the fallback and conservative learners.
+conversion of the fallback and conservative learners.  The last three
+(``pac-eval-sol-hd-prime``, ``convert-sol`` and ``duel-singletons-sol``)
+were captured before the dimension memos moved onto the class: they drive
+sol through version spaces whose one side is empty.
 """
 
 import json

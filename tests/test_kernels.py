@@ -1,3 +1,7 @@
+import gc
+import random
+import tracemalloc
+
 from hypothesis import given, settings, strategies as st
 
 import reference_kernels as reference
@@ -70,3 +74,45 @@ def test_large_classes_the_naive_recursions_cannot_finish():
     assert kernels.ldim_masks(singletons(40).sorted_rows, 40) == 1
     assert kernels.ldim_masks(thresholds(6).sorted_rows, 64) == 6
     assert kernels.game_value_masks(thresholds(6).sorted_rows, 64) == 6
+
+
+@st.composite
+def classes_with_version_spaces(draw):
+    rows, domain = draw(mask_classes())
+    full = (1 << len(rows)) - 1
+    vs = draw(st.lists(st.integers(min_value=0, max_value=full), max_size=8))
+    return FiniteClass(domain, frozenset(rows)), draw(st.permutations(vs + [0, full]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(classes_with_version_spaces())
+def test_class_memos_match_reference_on_every_version_space(case):
+    # One class object answers every query, so its memos carry over between
+    # version spaces queried in any order.
+    H, vs = case
+    for v in vs:
+        sub = H.restricted_to(v).sorted_rows
+        assert H.ldim_of(v) == reference.ldim_masks(sub, H.domain_size)
+        assert H.game_value_of(v) == reference.game_value_masks(sub, H.domain_size)
+
+
+def test_discarded_classes_leave_no_memo_behind():
+    rng = random.Random(11)
+
+    def churn(count: int) -> None:
+        for _ in range(count):
+            H = FiniteClass(8, frozenset(rng.sample(range(1 << 8), 12)))
+            ldim(H)
+            optimal_mistake_bound(H)
+
+    tracemalloc.start()
+    try:
+        churn(100)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        churn(2000)
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth < 64 * 1024, f"traced memory grew by {growth} bytes"
