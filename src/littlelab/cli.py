@@ -255,6 +255,9 @@ def cmd_demo_dr_halt(args) -> list[tuple[str, object]]:
     oracle = load_oracle(args.oracle)
     e_list = list(range(args.e_max))
     supports = families.two_tier_block_supports(oracle, e_list)
+    if not supports:
+        raise UsageError(f"--e-max {args.e_max} gives an empty truncation: no block "
+                         f"e < {args.e_max} is populated; raise --e-max")
     indexed = families.IndexedClass.from_supports(supports)
     decider = families.two_tier_family_decider(oracle)
     report = _dr_reports(oracle, supports, decider, indexed)
@@ -296,6 +299,9 @@ def cmd_demo_split(args) -> list[tuple[str, object]]:
 
 
 def cmd_demo_init(args) -> list[tuple[str, object]]:
+    if args.k < 2:
+        raise UsageError("--k must be at least 2: k thresholds give a witness of "
+                         "depth floor(log2 k), and depth 0 shows none")
     try:
         witness = families.find_thresholds(args.k, args.step_cap, args.x_cap)
     except RuntimeError as exc:

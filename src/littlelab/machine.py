@@ -11,6 +11,10 @@ Control falling past the end of the program halts as well (so every
 instruction list is a valid program, which keeps the numbering a bijection).
 Two-place functions receive their arguments in registers 0 and 1.
 
+Every run goes through one step loop on a list of registers changed in place.
+It stops at once at a DECJZ r t with t its own position and register r zero:
+that step writes nothing and keeps pc, so each later step repeats it.
+
 The module also provides the effective enumeration of halting computations
 from a fixed input, halting certificates with a total verifier, and the
 HaltingOracle abstraction with a budgeted machine-backed implementation and
@@ -162,35 +166,42 @@ class Running:
 RUNNING = Running()
 
 
-def _initial_config(program: ToyProgram, value: int, second: int | None = None) -> Config:
+def _registers(program: ToyProgram, value: int, second: int | None = None) -> list[int]:
     regs = [0] * max(program.register_count, 2 if second is not None else 1)
     regs[0] = value
     if second is not None:
         regs[1] = second
-    return (0, tuple(regs))
+    return regs
 
 
-def _step(program: ToyProgram, config: Config) -> Config:
-    pc, regs = config
-    ins = program.instructions[pc]
-    if ins[0] == INC:
-        r = ins[1]
-        regs = regs[:r] + (regs[r] + 1,) + regs[r + 1:]
-        return (pc + 1, regs)
-    if ins[0] == DECJZ:
-        r, target = ins[1], ins[2]
-        if regs[r] == 0:
-            return (target, regs)
-        regs = regs[:r] + (regs[r] - 1,) + regs[r + 1:]
-        return (pc + 1, regs)
-    # HALT r: copy register r to register 0, jump past the end.
-    r = ins[1]
-    regs = (regs[r],) + regs[1:]
-    return (len(program), regs)
+def _execute(code: tuple[Instruction, ...], pc: int, regs: list[int],
+             budget: int) -> tuple[int, int]:
+    """At most budget steps from pc, changing regs in place: (pc, steps taken).
 
-
-def _is_terminal(program: ToyProgram, config: Config) -> bool:
-    return config[0] >= len(program)
+    pc >= len(code) means halted; a fixed point reports the whole budget spent.
+    """
+    end = len(code)
+    for steps in range(budget):
+        if pc >= end:
+            return pc, steps
+        ins = code[pc]
+        op = ins[0]
+        if op == INC:
+            regs[ins[1]] += 1
+            pc += 1
+        elif op == DECJZ:
+            r = ins[1]
+            if regs[r]:
+                regs[r] -= 1
+                pc += 1
+            elif ins[2] == pc:  # a self-jump on a zero register: a fixed point
+                return pc, budget
+            else:
+                pc = ins[2]
+        else:  # HALT r: copy register r to register 0, jump past the end.
+            regs[0] = regs[ins[1]]
+            pc = end
+    return pc, budget
 
 
 def run(program: ToyProgram, value: int, step_budget: int,
@@ -198,29 +209,23 @@ def run(program: ToyProgram, value: int, step_budget: int,
     """Deterministic small-step execution; Running means not halted in budget."""
     if step_budget < 0:
         raise ValueError("step budget must be a natural")
-    config = _initial_config(program, value, second)
-    for steps in range(step_budget + 1):
-        if _is_terminal(program, config):
-            return Halted(config[1][0], steps)
-        if steps == step_budget:
-            break
-        config = _step(program, config)
+    regs = _registers(program, value, second)
+    pc, steps = _execute(program.instructions, 0, regs, step_budget)
+    if pc >= len(program.instructions):
+        return Halted(regs[0], steps)
     return RUNNING
 
 
 def run_trace(program: ToyProgram, value: int, step_budget: int,
               second: int | None = None) -> tuple[Config, ...] | Running:
     """Full configuration trace from initial to halting configuration."""
-    config = _initial_config(program, value, second)
-    trace = [config]
-    for _ in range(step_budget):
-        if _is_terminal(program, config):
-            return tuple(trace)
-        config = _step(program, config)
-        trace.append(config)
-    if _is_terminal(program, config):
-        return tuple(trace)
-    return RUNNING
+    code = program.instructions
+    pc, regs = 0, _registers(program, value, second)
+    trace = [(pc, tuple(regs))]
+    while pc < len(code) and len(trace) <= step_budget:
+        pc = _execute(code, pc, regs, 1)[0]
+        trace.append((pc, tuple(regs)))
+    return tuple(trace) if pc >= len(code) else RUNNING
 
 
 def halting_steps(program: ToyProgram, value: int, step_budget: int) -> int | None:
@@ -252,19 +257,21 @@ def _halting_computations(x: int, cap: int) -> Iterator[tuple[int, ToyProgram, i
     order (e + s ascending, then e ascending) where P_e halts on x in exactly
     s steps.  Program e starts at pair (e, 0) and steps once per diagonal, so
     at (e, s) it has run exactly s steps; it leaves at its halting pair."""
-    live: list[tuple[int, ToyProgram, Config]] = []
+    live: list[tuple[int, ToyProgram, list]] = []  # (e, P_e, [pc, registers])
     for diagonal in count():
         program = enumerate_programs(diagonal)
-        live.append((diagonal, program, _initial_config(program, x)))
+        live.append((diagonal, program, [0, _registers(program, x)]))
         first = diagonal * (diagonal + 1) // 2  # position of the pair (0, diagonal)
-        running: list[tuple[int, ToyProgram, Config]] = []
-        for e, program, config in live:
+        running: list[tuple[int, ToyProgram, list]] = []
+        for entry in live:
+            e, program, state = entry
             if first + e >= cap:  # every pair after this one sits later still
                 return
-            if _is_terminal(program, config):
-                yield e, program, diagonal - e
+            state[0], steps = _execute(program.instructions, state[0], state[1], 1)
+            if steps:
+                running.append(entry)
             else:
-                running.append((e, program, _step(program, config)))
+                yield e, program, diagonal - e
         live = running
 
 
@@ -388,7 +395,9 @@ class TableOracle:
         halting: dict[tuple[int, int], int] = {}
         certificates: dict[tuple[int, int], int] = {}
         for key, entry in raw.items():
-            e_str, x_str = key.split(",")
+            e_str, _, x_str = key.partition(",")
+            if not (e_str.isdecimal() and x_str.isdecimal()):
+                raise ValueError(f"oracle key {key!r}: expected \"e,x\" with e and x naturals")
             pair_key = (int(e_str), int(x_str))
             if isinstance(entry, dict) and "halts" in entry:
                 for name in ("halts", "cert"):

@@ -1,17 +1,83 @@
-"""Slow reference walks of the dovetail order of halting computations.
+"""Slow reference interpreter and dovetail walks of the halting computations.
 
-These are the loops that ``littlelab.machine`` replaced with one live
+The interpreter is the tuple one that ``littlelab.machine`` replaced with an
+in-place step loop: every step rebuilds the whole register tuple, and a run
+steps on to its budget even at a configuration that repeats itself.  The
+walks are the loops that ``littlelab.machine`` replaced with one live
 configuration per program.  For every dovetail pair (e, s) they decode
 program e again and re-run it from step 0 for s steps, so a walk costs cubic
-time in its last diagonal.  They are only the oracle of the agreement test.
+time in its last diagonal.  Neither shares step code with the library; they
+are only the oracle of the agreement tests.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from littlelab.machine import (Halted, HaltingCertificate, Running,
-                               enumerate_programs, run, run_trace)
+from littlelab.machine import (DECJZ, INC, RUNNING, Config, Halted,
+                               HaltingCertificate, Running, ToyProgram,
+                               enumerate_programs)
+
+
+def _initial_config(program: ToyProgram, value: int, second: int | None = None) -> Config:
+    regs = [0] * max(program.register_count, 2 if second is not None else 1)
+    regs[0] = value
+    if second is not None:
+        regs[1] = second
+    return (0, tuple(regs))
+
+
+def _step(program: ToyProgram, config: Config) -> Config:
+    pc, regs = config
+    ins = program.instructions[pc]
+    if ins[0] == INC:
+        r = ins[1]
+        regs = regs[:r] + (regs[r] + 1,) + regs[r + 1:]
+        return (pc + 1, regs)
+    if ins[0] == DECJZ:
+        r, target = ins[1], ins[2]
+        if regs[r] == 0:
+            return (target, regs)
+        regs = regs[:r] + (regs[r] - 1,) + regs[r + 1:]
+        return (pc + 1, regs)
+    # HALT r: copy register r to register 0, jump past the end.
+    r = ins[1]
+    regs = (regs[r],) + regs[1:]
+    return (len(program), regs)
+
+
+def _is_terminal(program: ToyProgram, config: Config) -> bool:
+    return config[0] >= len(program)
+
+
+def run(program: ToyProgram, value: int, step_budget: int,
+        second: int | None = None) -> Halted | Running:
+    """Deterministic small-step execution; Running means not halted in budget."""
+    if step_budget < 0:
+        raise ValueError("step budget must be a natural")
+    config = _initial_config(program, value, second)
+    for steps in range(step_budget + 1):
+        if _is_terminal(program, config):
+            return Halted(config[1][0], steps)
+        if steps == step_budget:
+            break
+        config = _step(program, config)
+    return RUNNING
+
+
+def run_trace(program: ToyProgram, value: int, step_budget: int,
+              second: int | None = None) -> tuple[Config, ...] | Running:
+    """Full configuration trace from initial to halting configuration."""
+    config = _initial_config(program, value, second)
+    trace = [config]
+    for _ in range(step_budget):
+        if _is_terminal(program, config):
+            return tuple(trace)
+        config = _step(program, config)
+        trace.append(config)
+    if _is_terminal(program, config):
+        return tuple(trace)
+    return RUNNING
 
 
 def _dovetail_pairs() -> Iterator[tuple[int, int]]:

@@ -109,6 +109,15 @@ def test_oracle_file_with_a_non_integer_value_exit_code(capsys, tmp_path, entry)
     assert "'0,0'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", ["0,0,0", "a,0", "5"])
+def test_oracle_file_with_a_malformed_key_exit_code(capsys, tmp_path, key):
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps({key: {"halts": 1}}))
+    code, out, err = run_cli(capsys, "demo-rer-halt", "--oracle", str(path))
+    assert code == 1
+    assert out == "" and f"{key!r}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("payload, field", [
     ({"domain_size": 2, "hypotheses": 5}, "hypotheses"),
     ({"domain_size": 2, "hypotheses": "01"}, "hypotheses"),
@@ -128,6 +137,18 @@ def test_threshold_search_shortfall_exit_code(capsys):
     code, _, err = run_cli(capsys, "demo-init", "--k", "100", "--x-cap", "10")
     assert code == 1
     assert "self-halting times" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag, reason", [
+    ("demo-init", "--k", "must be at least 2"),
+    ("demo-dr-halt", "--e-max", "empty truncation"),
+])
+def test_too_small_witness_flag_is_a_usage_error(capsys, command, flag, reason):
+    code, out, err = run_cli(capsys, command, flag, "1")
+    assert code == 1
+    assert out == "" and "Traceback" not in err
+    assert flag in err and reason in err
+    assert run_cli(capsys, command, flag, "2")[0] == 0
 
 
 def test_diverging_learner_exit_code(capsys):

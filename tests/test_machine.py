@@ -87,6 +87,43 @@ def test_run_trace_matches_run():
     assert run_trace(LOOP, 0, 50) is RUNNING
 
 
+# Inputs 0, 1 and 2 decide most branches of small programs; the wide range
+# reaches registers that no short budget can count down.
+INPUTS = st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 49), st.integers(0, 10 ** 6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 4_999), INPUTS, st.none() | INPUTS, st.integers(0, 300))
+def test_step_loop_matches_the_tuple_interpreter(e, x, second, budget):
+    program = enumerate_programs(e)
+    expected = reference.run(program, x, budget, second)
+    assert run(program, x, budget, second) == expected
+    assert run_trace(program, x, budget, second) == reference.run_trace(program, x, budget, second)
+    if second is None:
+        steps = expected.steps if isinstance(expected, Halted) else None
+        assert halting_steps(program, x, budget) == steps
+    else:
+        assert apply2(e, x, second, budget) == expected
+
+
+@pytest.mark.parametrize("program", [LOOP] + [enumerate_programs(e) for e in (26, 64, 67)],
+                         ids=["LOOP", "P26", "P64", "P67"])
+@pytest.mark.parametrize("x", [0, 1])
+def test_fixed_points_match_the_tuple_interpreter(program, x):
+    # Each of these reaches a DECJZ r t with t its own position and r zero.
+    # A second argument 0 leaves every register as without it, so one
+    # reference run serves run, halting_steps and apply2.
+    e = index_of(program)
+    for budget in (0, 1, 2, 10 ** 6):
+        expected = reference.run(program, x, budget, 0)
+        assert expected is RUNNING
+        assert run(program, x, budget) is expected
+        assert halting_steps(program, x, budget) is None
+        assert apply2(e, x, 0, budget) is expected
+        if budget < 10 ** 6:  # a trace of 10^6 configurations is not worth its memory
+            assert run_trace(program, x, budget) == reference.run_trace(program, x, budget)
+
+
 def test_apply2_places_arguments_in_two_registers():
     # HALT 1 copies the second argument to the output register.
     second_arg = ToyProgram(((HALT, 1),))
