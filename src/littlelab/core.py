@@ -5,6 +5,11 @@ contributes p_i**(z_i + 1)), samples are encoded by flattening to
 (x_1, y_1, ..., x_T, y_T), and finite sets of naturals are encoded as bitmask
 integers.  All codes are arbitrary-precision: the prime-power encoding
 overflows 64 bits already for tiny inputs.
+
+A sequence code is built by one square-and-multiply chain over the bits of
+the odd primes' exponents, not as a product of separate powers: the work is
+one run of squarings up to the code's size, instead of one power per entry
+and a product of megabit integers.  The factor of 2 is a final left shift.
 """
 
 from __future__ import annotations
@@ -81,14 +86,28 @@ def _primes(count: int) -> list[int]:
 
 
 def encode_sequence(z: Sequence[int] | Iterable[int]) -> int:
-    """Product of p_i**(z_i + 1); the empty sequence encodes to 1."""
+    """Product of p_i**(z_i + 1); the empty sequence encodes to 1.
+
+    Simultaneous exponentiation: going down the bits of the exponents
+    e_i = z_i + 1 of the odd primes, square the code, then multiply it by the
+    primes whose exponent has that bit set.  This is Horner's rule on the
+    exponent bits, so after the last bit the code is the exact product of
+    the odd prime powers; 2**e_0 is then one left shift.
+    """
     entries = [int(v) for v in z]
     if any(v < 0 for v in entries):
         raise ValueError("sequence entries must be naturals")
+    if not entries:
+        return 1
+    odd = list(zip(_primes(len(entries))[1:], (v + 1 for v in entries[1:])))
     code = mpz(1)
-    for p, v in zip(_primes(len(entries)), entries):
-        code *= mpz(p) ** (v + 1)
-    return int(code)
+    for bit in reversed(range(max((e for _, e in odd), default=0).bit_length())):
+        factor = 1
+        for p, e in odd:
+            if e >> bit & 1:
+                factor *= p
+        code = code * code * factor
+    return int(code << (entries[0] + 1))
 
 
 def decode_sequence(code: int) -> tuple[int, ...]:

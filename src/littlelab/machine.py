@@ -13,7 +13,10 @@ Two-place functions receive their arguments in registers 0 and 1.
 
 Every run goes through one step loop on a list of registers changed in place.
 It stops at once at a DECJZ r t with t its own position and register r zero:
-that step writes nothing and keeps pc, so each later step repeats it.
+that step writes nothing and keeps pc, so each later step repeats it.  Such a
+fixed point can never halt, so run_trace returns Running as soon as it
+reaches one, and the dovetailer retires a program there as it retires a
+halted one.
 
 The module also provides the effective enumeration of halting computations
 from a fixed input, halting certificates with a total verifier, and the
@@ -204,6 +207,14 @@ def _execute(code: tuple[Instruction, ...], pc: int, regs: list[int],
     return pc, budget
 
 
+def _at_fixed_point(code: tuple[Instruction, ...], pc: int, regs: list[int]) -> bool:
+    """At a DECJZ r t with t == pc and register r zero: every later step repeats it."""
+    if pc >= len(code):
+        return False
+    ins = code[pc]
+    return ins[0] == DECJZ and ins[2] == pc and not regs[ins[1]]
+
+
 def run(program: ToyProgram, value: int, step_budget: int,
         second: int | None = None) -> Halted | Running:
     """Deterministic small-step execution; Running means not halted in budget."""
@@ -218,11 +229,16 @@ def run(program: ToyProgram, value: int, step_budget: int,
 
 def run_trace(program: ToyProgram, value: int, step_budget: int,
               second: int | None = None) -> tuple[Config, ...] | Running:
-    """Full configuration trace from initial to halting configuration."""
+    """Full configuration trace from initial to halting configuration.
+
+    A fixed point can only end Running, so the trace stops there at once.
+    """
     code = program.instructions
     pc, regs = 0, _registers(program, value, second)
     trace = [(pc, tuple(regs))]
     while pc < len(code) and len(trace) <= step_budget:
+        if _at_fixed_point(code, pc, regs):
+            return RUNNING
         pc = _execute(code, pc, regs, 1)[0]
         trace.append((pc, tuple(regs)))
     return tuple(trace) if pc >= len(code) else RUNNING
@@ -256,7 +272,8 @@ def _halting_computations(x: int, cap: int) -> Iterator[tuple[int, ToyProgram, i
     """(e, P_e, s) for each pair (e, s) among the first cap pairs in dovetail
     order (e + s ascending, then e ascending) where P_e halts on x in exactly
     s steps.  Program e starts at pair (e, 0) and steps once per diagonal, so
-    at (e, s) it has run exactly s steps; it leaves at its halting pair."""
+    at (e, s) it has run exactly s steps; it leaves at its halting pair, or
+    at a fixed point, from which none of its later pairs can yield."""
     live: list[tuple[int, ToyProgram, list]] = []  # (e, P_e, [pc, registers])
     for diagonal in count():
         program = enumerate_programs(diagonal)
@@ -267,11 +284,12 @@ def _halting_computations(x: int, cap: int) -> Iterator[tuple[int, ToyProgram, i
             e, program, state = entry
             if first + e >= cap:  # every pair after this one sits later still
                 return
-            state[0], steps = _execute(program.instructions, state[0], state[1], 1)
-            if steps:
-                running.append(entry)
-            else:
+            code = program.instructions
+            state[0], steps = _execute(code, state[0], state[1], 1)
+            if not steps:
                 yield e, program, diagonal - e
+            elif not _at_fixed_point(code, state[0], state[1]):
+                running.append(entry)
         live = running
 
 

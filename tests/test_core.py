@@ -1,6 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import reference_core as reference
 from littlelab.core import (EMPTY_SAMPLE, LabeledInstance, NotInRangeError,
                             Sample, canonical_index, decode_canonical,
                             decode_sample, decode_sequence, encode_sample,
@@ -70,6 +71,19 @@ def test_encode_rejects_negative_entries():
 @given(st.lists(st.integers(min_value=0, max_value=50), max_size=6))
 def test_sequence_round_trip(entries):
     assert decode_sequence(encode_sequence(entries)) == tuple(entries)
+
+
+# Entries 0-2 decide the low exponent bits, entries below 64 give exponents
+# of up to seven bits, and the wide range gives long chains of squarings.
+ENTRIES = st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 63), st.integers(0, 5 * 10 ** 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ENTRIES, max_size=12))
+def test_encode_sequence_matches_the_product_of_powers(entries):
+    code = encode_sequence(entries)
+    assert type(code) is int
+    assert code == reference.encode_sequence(entries)
 
 
 def test_sequence_injectivity_exhaustive_small():

@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_machine as reference
+from littlelab import machine
 from littlelab.budget import FuelExhaustedError
 from littlelab.machine import (CONST0_INDEX, CONST0_PROGRAM, CONST1_INDEX,
                                CONST1_PROGRAM, DECJZ, HALT, INC, HaltsAnswer,
@@ -124,6 +126,12 @@ def test_fixed_points_match_the_tuple_interpreter(program, x):
             assert run_trace(program, x, budget) == reference.run_trace(program, x, budget)
 
 
+def test_run_trace_stops_at_a_fixed_point():
+    start = time.perf_counter()
+    assert run_trace(LOOP, 0, 10 ** 6) is RUNNING
+    assert time.perf_counter() - start < 0.1
+
+
 def test_apply2_places_arguments_in_two_registers():
     # HALT 1 copies the second argument to the output register.
     second_arg = ToyProgram(((HALT, 1),))
@@ -192,6 +200,20 @@ def test_dovetailer_matches_the_rerunning_reference():
                     continue
                 found = enumerate_halting_computations(x, i, search_cap=cap)
                 assert found == expected, (x, i, cap)
+
+
+def test_dovetailer_retires_programs_at_a_fixed_point(monkeypatch):
+    calls = 0
+    execute = machine._execute
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return execute(*args)
+
+    monkeypatch.setattr(machine, "_execute", counting)
+    assert certificate_index(122, 0, 2_000_000) is not None
+    assert calls <= 500
 
 
 # ---------------------------------------------------------------------------
