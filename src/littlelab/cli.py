@@ -49,9 +49,31 @@ def load_oracle(path: str | None) -> TableOracle:
     return default_table_oracle()
 
 
+# The most rows a class from a builder or --file may have.  Above it the
+# dimension recursions reach Python's recursion limit (`ldim` fails at 1,000
+# singletons), and a horizon-2 sol duel, which grows as rows^4 on singletons,
+# takes 11 s at 128 rows and 59 s at 200.
+MAX_ROWS = 128
+
+
 def build_class(args) -> FiniteClass:
     if args.file:
-        return from_file(args.file)
+        H = from_file(args.file)
+        if len(H) > MAX_ROWS:
+            raise UsageError(f"--file {args.file} has {len(H)} rows, above the cap "
+                             f"of {MAX_ROWS} rows")
+        return H
+    if args.builder == "singletons" and args.n > MAX_ROWS:
+        raise UsageError(f"--builder singletons --n {args.n} gives {args.n} rows, "
+                         f"above the cap of {MAX_ROWS} rows")
+    # thresholds(d) has 2^d rows and hd-prime(d) 2^d + 1; compare exponents
+    # first, so that a huge --d never builds 2^d.
+    extra = int(args.builder == "hd-prime")
+    if args.builder in ("thresholds", "hd-prime") and (
+            args.d >= MAX_ROWS.bit_length() or (1 << args.d) + extra > MAX_ROWS):
+        raise UsageError(f"--builder {args.builder} --d {args.d} gives "
+                         f"2^{args.d}{' + 1' * extra} rows, above the cap of "
+                         f"{MAX_ROWS} rows")
     if args.builder == "thresholds":
         return thresholds(args.d)
     if args.builder == "singletons":
@@ -222,11 +244,36 @@ def _dr_reports(oracle, supports, decider, indexed) -> list[tuple[str, object]]:
     return report
 
 
+def _check_dr_ext_truncation(oracle, indexed, e_max: int) -> None:
+    """Refuse a truncation too small to show the extended family's cases.
+
+    The family has dimension 2, and block e's significant case needs the rows
+    outside block e to keep dimension 2, which the whole family gives and a
+    truncation to blocks e < e_max may not (with the built-in oracle it does
+    from e_max = 4 on)."""
+    H = indexed.finite
+    hint = "raise --e-max (the built-in oracle needs --e-max >= 4)"
+    dim = ldim(H)
+    if dim < 2:
+        raise UsageError(f"--e-max {e_max} gives a truncation of dimension {dim}, "
+                         f"below the family's 2; {hint}")
+    for e in range(e_max):
+        reply = oracle.halts(e, e)
+        if 2 ** e in indexed.naturals and reply.status == HaltsAnswer.YES \
+                and reply.value in (0, 1):
+            rest = H.ldim_of(H.version_space(((indexed.of_natural(2 ** e), 0),)))
+            if rest < 2:
+                raise UsageError(f"--e-max {e_max}: outside block {e} the truncation "
+                                 f"has dimension {rest}, below 2, so block {e}'s case "
+                                 f"cannot show; {hint}")
+
+
 def cmd_demo_dr_ext(args) -> list[tuple[str, object]]:
     oracle = load_oracle(args.oracle)
     e_list = list(range(args.e_max))
     supports = families.extended_block_supports(oracle, e_list)
     indexed = families.IndexedClass.from_supports(supports)
+    _check_dr_ext_truncation(oracle, indexed, args.e_max)
     decider = families.extended_family_decider(oracle)
     report = _dr_reports(oracle, supports, decider, indexed)
     expect(ldim(indexed.finite) == 2, "extended family truncation must have dimension 2")
@@ -285,13 +332,19 @@ def cmd_demo_dr_halt(args) -> list[tuple[str, object]]:
 
 
 def cmd_demo_split(args) -> list[tuple[str, object]]:
+    truncation = families.adversarial_family(
+        args.i_max, args.step_budget).truncation(families.s2(args.i_max))
+    if ldim(truncation) < 1:
+        # Learner 4 outputs 0 on the empty history within one step, so the
+        # first diagonal label 1 starts block 4 under every budget.
+        raise UsageError(f"--i-max {args.i_max} gives a truncation of dimension 0: "
+                         f"no diagonal label below block {args.i_max} is 1; "
+                         f"--i-max must be at least 5")
     sample = families.diagonal_forcing_sample(args.e, args.M, args.step_budget)
     mistakes = game.mistakes_on_sample(
         learners.toy_learner(args.e, args.step_budget), sample)
     expect(mistakes == args.M + 1,
            f"forcing sample yields {mistakes} != {args.M + 1} mistakes")
-    truncation = families.adversarial_family(
-        args.i_max, args.step_budget).truncation(families.s2(args.i_max))
     expect(ldim(truncation) == 1, "diagonal family truncation must have dimension 1")
     return [("learner_index", args.e), ("target_mistakes", args.M + 1),
             ("mistakes", mistakes), ("sample_length", len(sample)),
@@ -438,7 +491,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo-split", help="diagonal forcing-sample replay")
     p.add_argument("--e", type=_natural, default=0)
     p.add_argument("--M", type=_natural, default=2)
-    p.add_argument("--step-budget", type=_natural, default=10_000)
+    p.add_argument("--step-budget", type=_positive, default=10_000)
     p.add_argument("--i-max", type=_positive, default=5)
     p.set_defaults(run=cmd_demo_split)
 

@@ -8,13 +8,25 @@ equal to an earlier one or to its complement splits every version space the
 same way, so only the first column of each distinct split is kept; both stay
 true inside every sub-version-space, so a class's splits serve all of them.
 
-Two bounds prune the recursions, and both are admissible:
+Three bounds prune the recursions, and all are admissible:
 
 * a depth-d shattered tree needs 2^d hypotheses, and the halving learner
   makes at most floor(log2 |v|) mistakes on v, so neither the dimension nor
   the game value of v exceeds floor(log2 |v|): a node stops at that value;
+* the game value of v is also at most 1 + floor(log2 m), where m is the
+  largest minority side of a split of v.  The learner that predicts the
+  forced label where v agrees on x, and otherwise the label most rows of v
+  give x, first errs where the target takes v's minority label, which
+  leaves at most m rows; halving them errs at most floor(log2 m) more times.
+  As m <= |v| / 2, this bound is never above the first, and the game node
+  stops at it.  On singletons it is 1, where floor(log2 |v|) let the
+  recursion visit about 2^|v| version spaces.  An instance whose column is
+  the complement of another's has the same minority side, so `splits` serve
+  this bound as well as every column would;
 * a split whose best possible value, computed from those bounds on its two
-  sides, cannot beat the best split so far is skipped.
+  sides, cannot beat the best split so far is skipped.  A side's value is at
+  most its parent's, so the game recursion also caps each side at the
+  parent's bound.
 
 The two recursions stay separate, so each checks the other.  Each writes the
 exact value of every version space it finishes into a memo its caller owns,
@@ -95,16 +107,34 @@ def game_value(v: int, splits: tuple[tuple[int, int], ...], memo: dict[int, int]
         cached = memo.get(v)
         if cached is not None:
             return cached
-        cap = v.bit_count().bit_length() - 1
+        size = v.bit_count()
+        cap = size.bit_length() - 1
+        if cap >= 2:
+            # The first-mistake bound: 1 + floor(log2 m), m the largest
+            # minority side of a split.  It is at most cap (equal below 2),
+            # and a minority side of 2^(cap-1) or more keeps it there.
+            half = 1 << (cap - 1)
+            most = 0
+            for _, col in splits:
+                ones = (v & col).bit_count()
+                if ones > size - ones:
+                    ones = size - ones
+                if ones >= half:
+                    break
+                if ones > most:
+                    most = ones
+            else:
+                cap = most.bit_length()
         best = 0
         for _, col in splits:
             ones = v & col
             if not ones or ones == v:
                 continue
             zeros = v ^ ones
-            # The value is monotone in v0 and v1, and v_i <= floor(log2 |side_i|).
-            u0 = zeros.bit_count().bit_length() - 1
-            u1 = ones.bit_count().bit_length() - 1
+            # The value is monotone in v0 and v1, and v_i <= floor(log2 |side_i|)
+            # and v_i <= cap, the value of v, which contains side i.
+            u0 = min(zeros.bit_count().bit_length() - 1, cap)
+            u1 = min(ones.bit_count().bit_length() - 1, cap)
             if min(max(1 + u0, u1), max(u0, 1 + u1)) <= best:
                 continue
             v0 = rec(zeros)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from littlelab import cli
-from littlelab.classes import from_file, hd_prime
+from littlelab.classes import from_file, hd_prime, singletons, to_file
 from littlelab.core import Sample
 from littlelab.machine import HaltsAnswer
 
@@ -149,6 +149,54 @@ def test_too_small_witness_flag_is_a_usage_error(capsys, command, flag, reason):
     assert out == "" and "Traceback" not in err
     assert flag in err and reason in err
     assert run_cli(capsys, command, flag, "2")[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("demo-split", "--step-budget", "0"),
+    *(("demo-split", "--i-max", str(i)) for i in range(1, 5)),
+    *(("demo-dr-ext", "--e-max", str(e)) for e in range(1, 4)),
+])
+def test_undersized_truncations_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == "" and "Traceback" not in err and "property violation" not in err
+    minimum = {"--step-budget": "positive", "--i-max": "--i-max must be at least 5",
+               "--e-max": "--e-max >= 4"}[argv[1]]
+    assert argv[1] in err and minimum in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("ldim", "--builder", "singletons", "--n", "1000"), "--n 1000"),
+    (("duel", "--builder", "singletons", "--n", "200", "--learner", "sol",
+      "--horizon", "2"), "--n 200"),
+    (("ldim", "--builder", "thresholds", "--d", "8"), "--d 8"),
+    (("ldim", "--builder", "hd-prime", "--d", "7"), "--d 7"),
+    (("ldim", "--builder", "hd-prime", "--d", "1000000000"), "--d 1000000000"),
+])
+def test_builder_classes_above_the_row_cap_are_usage_errors(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == "" and "Traceback" not in err
+    assert flag in err and f"cap of {cli.MAX_ROWS} rows" in err
+
+
+def test_class_file_above_the_row_cap_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "class.json"
+    to_file(singletons(1200), str(path))
+    code, out, err = run_cli(capsys, "ldim", "--file", str(path))
+    assert code == 1
+    assert out == "" and "Traceback" not in err
+    assert "1200 rows" in err and f"cap of {cli.MAX_ROWS} rows" in err
+
+
+def test_classes_at_the_row_cap_run(capsys, tmp_path):
+    assert cli.MAX_ROWS == 128
+    path = tmp_path / "class.json"
+    to_file(singletons(cli.MAX_ROWS), str(path))
+    for argv in (("--file", str(path)), ("--builder", "singletons", "--n", "128"),
+                 ("--builder", "thresholds", "--d", "7"),
+                 ("--builder", "hd-prime", "--d", "6")):
+        assert run_cli(capsys, "ldim", *argv)[0] == 0
 
 
 def test_diverging_learner_exit_code(capsys):

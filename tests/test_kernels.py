@@ -5,8 +5,9 @@ import tracemalloc
 from hypothesis import given, settings, strategies as st
 
 import reference_kernels as reference
-from littlelab import kernels
+from littlelab import families, kernels
 from littlelab.classes import FiniteClass, singletons, thresholds
+from littlelab.cli import default_table_oracle
 from littlelab.game import optimal_mistake_bound
 from littlelab.littlestone import _flatten, find_shattered_tree, ldim
 
@@ -94,6 +95,44 @@ def test_class_memos_match_reference_on_every_version_space(case):
         sub = H.restricted_to(v).sorted_rows
         assert H.ldim_of(v) == reference.ldim_masks(sub, H.domain_size)
         assert H.game_value_of(v) == reference.game_value_masks(sub, H.domain_size)
+
+
+@st.composite
+def classes_with_complement_instances(draw):
+    # Instance domain + k is the complement of instance xs[k]: `splits` keeps
+    # one column of each such pair, while the reference recursion reads both.
+    rows, domain = draw(mask_classes())
+    xs = draw(st.lists(st.integers(min_value=0, max_value=domain - 1),
+                       min_size=1, max_size=domain))
+    extended = frozenset(
+        row | sum((~row >> x & 1) << (domain + k) for k, x in enumerate(xs))
+        for row in rows)
+    H = FiniteClass(domain + len(xs), extended)
+    full = (1 << len(rows)) - 1
+    vs = draw(st.lists(st.integers(min_value=0, max_value=full), max_size=6))
+    return H, vs + [full]
+
+
+@settings(max_examples=200, deadline=None)
+@given(classes_with_complement_instances())
+def test_game_values_with_complement_instances_match_reference(case):
+    H, vs = case
+    assert kernels.game_value_masks(H.sorted_rows, H.domain_size) == \
+        reference.game_value_masks(H.sorted_rows, H.domain_size)
+    for v in vs:
+        sub = H.restricted_to(v).sorted_rows
+        assert H.game_value_of(v) == reference.game_value_masks(sub, H.domain_size)
+
+
+def test_game_kernel_visits_few_version_spaces_where_the_value_is_small():
+    # floor(log2 |v|) never binds on these classes, where the first-mistake
+    # bound does: the memo holds 15 and 12 version spaces, not 65,385 and 3,061.
+    oracle = default_table_oracle()
+    dr_halt = families.IndexedClass.from_supports(
+        families.two_tier_block_supports(oracle, range(6))).finite
+    for H, value in ((singletons(16), 1), (dr_halt, 2)):
+        assert optimal_mistake_bound(H) == value
+        assert len(H._game_memo) <= 32
 
 
 def test_discarded_classes_leave_no_memo_behind():
