@@ -85,11 +85,31 @@ class FiniteClass:
         return kernels.splits(self.columns, (1 << len(self.rows)) - 1)
 
     def ldim_of(self, v: int) -> int:
-        """Littlestone dimension of the rows in version space v; -1 for v = 0."""
+        """Littlestone dimension of the rows in version space v; -1 for v = 0.
+
+        A space of at most one row and a value already in the class's memo
+        are answered here, without entering the kernel.  That is exact: the
+        kernel returns 0 (or -1 for v = 0) on such a space without a memo
+        entry, and the memo holds only exact values the kernel wrote.
+        """
+        if not v & (v - 1):
+            return 0 if v else -1
+        cached = self._ldim_memo.get(v)
+        if cached is not None:
+            return cached
         return kernels.ldim(v, self.splits, self._ldim_memo)
 
     def game_value_of(self, v: int) -> int:
-        """Minimax mistake bound of the rows in version space v; 0 for v = 0."""
+        """Minimax mistake bound of the rows in version space v; 0 for v = 0.
+
+        As in `ldim_of`, a space of at most one row (value 0) and a memo hit
+        never enter the kernel.
+        """
+        if not v & (v - 1):
+            return 0
+        cached = self._game_memo.get(v)
+        if cached is not None:
+            return cached
         return kernels.game_value(v, self.splits, self._game_memo)
 
     def version_space(self, sample: Iterable[tuple[int, int]]) -> int:

@@ -50,10 +50,21 @@ def load_oracle(path: str | None) -> TableOracle:
 
 
 # The most rows a class from a builder or --file may have.  Above it the
-# dimension recursions reach Python's recursion limit (`ldim` fails at 1,000
-# singletons), and a horizon-2 sol duel, which grows as rows^4 on singletons,
-# takes 11 s at 128 rows and 59 s at 200.
+# game recursion reaches Python's recursion limit (`optimal_mistake_bound`
+# fails at 1,000 singletons), and a horizon-2 sol duel, which grows about as
+# rows^3 on singletons, takes 0.55 s at 128 rows in a fresh process; its game
+# alone takes 0.36 s at 128 rows, 1.35 s at 200 and 3.0 s at 256.
 MAX_ROWS = 128
+
+# The longest horizon `duel --horizon` accepts.  The game explorer recurses
+# once per round, below Python's default limit of 1,000 frames: a constant
+# learner on singletons(3) raised RecursionError at horizon 1,000 and runs
+# in 0.03 s at 500.
+MAX_HORIZON = 500
+
+# The largest d `demo-hdprime --d` accepts: its exhaustive games take about
+# 0.7 s at d = 4 and 14 s at d = 5.
+MAX_HDPRIME_D = 5
 
 
 def build_class(args) -> FiniteClass:
@@ -180,6 +191,9 @@ def cmd_demo_hdprime(args) -> list[tuple[str, object]]:
     d = args.d
     if d < 3:
         raise UsageError("the gap needs at least two extra instances (d >= 3)")
+    if d > MAX_HDPRIME_D:
+        raise UsageError(f"--d {d} is above the cap of {MAX_HDPRIME_D}: the exhaustive "
+                         f"games take about 14 s at d = 5 and grow steeply with d")
     H = hd_prime(d)
     extra = classes.hd_prime_extra_instances(d)
     threshold_rows = frozenset((1 << n) - 1 for n in range(1, (1 << d) + 1))
@@ -423,6 +437,14 @@ def _positive(text: str) -> int:
     return value
 
 
+def _horizon(text: str) -> int:
+    value = _positive(text)
+    if value > MAX_HORIZON:
+        raise argparse.ArgumentTypeError(
+            f"expected at most {MAX_HORIZON} rounds, the horizon cap, got {value}")
+    return value
+
+
 def _epsilon(text: str) -> Fraction:
     """A finite nonnegative rational, read exactly ("0.2" is 1/5).
 
@@ -461,7 +483,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("duel", help="learner vs exhaustive adversary")
     _add_class_args(p)
     p.add_argument("--learner", required=True)
-    p.add_argument("--horizon", type=_positive, default=6)
+    p.add_argument("--horizon", type=_horizon, default=6)
     p.set_defaults(run=cmd_duel)
 
     p = sub.add_parser("significance", help="verdict sweep over short histories")

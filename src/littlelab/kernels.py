@@ -8,7 +8,7 @@ equal to an earlier one or to its complement splits every version space the
 same way, so only the first column of each distinct split is kept; both stay
 true inside every sub-version-space, so a class's splits serve all of them.
 
-Three bounds prune the recursions, and all are admissible:
+Four rules prune the recursions, and all are admissible:
 
 * a depth-d shattered tree needs 2^d hypotheses, and the halving learner
   makes at most floor(log2 |v|) mistakes on v, so neither the dimension nor
@@ -26,7 +26,12 @@ Three bounds prune the recursions, and all are admissible:
 * a split whose best possible value, computed from those bounds on its two
   sides, cannot beat the best split so far is skipped.  A side's value is at
   most its parent's, so the game recursion also caps each side at the
-  parent's bound.
+  parent's bound;
+* in the ldim recursion, a split whose smaller side has dimension 0 (a
+  single row, as rows are distinct) is worth exactly 1: the larger side is
+  nonempty, so its dimension is at least 0, and it is not computed.  This
+  spares a singletons-like space of k rows a chain of k - 1 nested version
+  spaces, one row fewer at each step.
 
 The two recursions stay separate, so each checks the other.  Each writes the
 exact value of every version space it finishes into a memo its caller owns,
@@ -87,7 +92,8 @@ def ldim(v: int, splits: tuple[tuple[int, int], ...], memo: dict[int, int]) -> i
             low = rec(small)
             if 1 + low <= best:
                 continue
-            cand = 1 + min(low, rec(large))
+            # large is nonempty, so ldim(large) >= 0 and low = 0 is the min.
+            cand = 1 + min(low, rec(large)) if low else 1
             if cand > best:
                 best = cand
                 if best == cap:

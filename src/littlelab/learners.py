@@ -59,16 +59,38 @@ def _replaying(name: str, predict: Callable[[Sample, int], int]) -> Learner:
 def sol(H: FiniteClass) -> Learner:
     """Predict the label whose version-space restriction has the larger
     Littlestone dimension, ties going to 1.  The state is the version-space
-    bitset of the history."""
+    bitset of the history.
+
+    A step ANDs v with x's column (or its complement); since v lies inside
+    the full space, that equals ``v & H.version_space(((x, y),))``, and the
+    same instance and label checks raise the same errors.  An instance that
+    v labels alike is forced: ldim(0) = -1 is below the dimension of any
+    nonempty side, so the prediction is that label (1 when v = 0) without a
+    dimension query.  `H.ldim_of` answers one-row spaces and memo hits
+    without entering the kernel.  It is looked up on each call, not bound
+    once, so a wrapper installed on the class later still sees the calls.
+    """
+    n = H.domain_size
+    cols = H.columns
 
     def update(v: int, x: int, y: int) -> int:
-        return v & H.version_space(((x, y),))
+        if not 0 <= x < n:
+            raise ValueError(f"instance {x} outside domain of size {n}")
+        if y == 1:
+            return v & cols[x]
+        if y == 0:
+            return v & ~cols[x]
+        raise ValueError(f"label must be 0 or 1, got {y}")
 
     def decide(v: int, x: int) -> int:
-        ones = v & H.version_space(((x, 1),))
+        if not 0 <= x < n:
+            raise ValueError(f"instance {x} outside domain of size {n}")
+        ones = v & cols[x]
+        if ones == v or not ones:
+            return int(ones == v)
         return int(H.ldim_of(ones) >= H.ldim_of(v ^ ones))
 
-    return Learner(f"sol[{H.domain_size}]", H.version_space(()), update, decide)
+    return Learner(f"sol[{n}]", H.version_space(()), update, decide)
 
 
 def constant_learner(bit: int) -> Learner:

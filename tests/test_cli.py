@@ -199,6 +199,26 @@ def test_classes_at_the_row_cap_run(capsys, tmp_path):
         assert run_cli(capsys, "ldim", *argv)[0] == 0
 
 
+def test_duel_horizon_above_the_cap_is_a_usage_error(capsys):
+    argv = ("duel", "--builder", "singletons", "--n", "3", "--learner", "const1",
+            "--horizon")
+    code, out, err = run_cli(capsys, *argv, str(cli.MAX_HORIZON + 1))
+    assert code == 1
+    assert out == "" and "Traceback" not in err
+    assert "argument --horizon" in err and f"at most {cli.MAX_HORIZON}" in err
+    # At the cap the explorer still fits the recursion limit.
+    code, out, _ = run_cli(capsys, *argv, str(cli.MAX_HORIZON))
+    assert code == 0 and parse_tsv(out)["mistake_bound"] == str(cli.MAX_HORIZON)
+
+
+def test_demo_hdprime_above_the_cap_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "demo-hdprime", "--d", str(cli.MAX_HDPRIME_D + 1))
+    assert code == 1
+    assert out == "" and "Traceback" not in err
+    assert f"--d {cli.MAX_HDPRIME_D + 1}" in err
+    assert f"cap of {cli.MAX_HDPRIME_D}" in err
+
+
 def test_diverging_learner_exit_code(capsys):
     code, _, err = run_cli(capsys, "duel", "--builder", "thresholds",
                            "--learner", "toy:1129")

@@ -18,7 +18,12 @@ the explorer's skip rule for a constant learner, and online-to-batch
 conversion of the fallback and conservative learners.  The last three
 (``pac-eval-sol-hd-prime``, ``convert-sol`` and ``duel-singletons-sol``)
 were captured before the dimension memos moved onto the class: they drive
-sol through version spaces whose one side is empty.
+sol through version spaces whose one side is empty.  The last two
+(``demo-hdprime-d4`` and ``duel-singletons-sol-n64``) were captured before
+sol read columns directly, the class memos answered one-row spaces and hits
+without the kernel, and the ldim kernel stopped at a side of dimension 0:
+they drive sol and the fallback learner through every split of hd_prime(4)
+and sol through singletons(64), whose ldim chain the last rule cuts.
 """
 
 import json

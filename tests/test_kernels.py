@@ -97,6 +97,28 @@ def test_class_memos_match_reference_on_every_version_space(case):
         assert H.game_value_of(v) == reference.game_value_masks(sub, H.domain_size)
 
 
+@settings(max_examples=100, deadline=None)
+@given(classes_with_version_spaces())
+def test_class_memos_answer_small_and_repeated_spaces_exactly(case):
+    # The empty space, every one-row space, and each space twice over, so the
+    # second query is a memo hit.
+    H, vs = case
+    for v in [0, *(1 << i for i in range(len(H))), *vs, *vs]:
+        sub = H.restricted_to(v).sorted_rows
+        assert H.ldim_of(v) == reference.ldim_masks(sub, H.domain_size)
+        assert H.game_value_of(v) == reference.game_value_masks(sub, H.domain_size)
+    for memo in (H._ldim_memo, H._game_memo):
+        assert all(v & (v - 1) for v in memo)
+
+
+def test_ldim_kernel_stops_at_a_side_of_dimension_zero():
+    # Each split of singletons(64) has a one-row side, so only the root is
+    # computed, not a chain of 63 nested version spaces.
+    H = singletons(64)
+    assert ldim(H) == 1
+    assert len(H._ldim_memo) == 1
+
+
 @st.composite
 def classes_with_complement_instances(draw):
     # Instance domain + k is the complement of instance xs[k]: `splits` keeps

@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from littlelab import kernels
 from littlelab.budget import FuelExhaustedError
 from littlelab.classes import (EnumerableClass, FiniteClass, constrain,
                                hd_prime, singletons, thresholds)
 from littlelab.core import Sample
-from littlelab.game import Horizon, mistake_bound, mistakes_on_sample
+from littlelab.game import (Horizon, is_anytime_optimal, mistake_bound,
+                            mistakes_on_sample)
 from littlelab.learners import (b_extended_blocks, b_triple_blocks,
                                 b_two_tier_blocks, conservative_learner,
                                 constant_learner, factor_block_instance,
@@ -41,6 +44,69 @@ def test_sol_determinism():
     H = thresholds(2)
     s = Sample.of((0, 1), (3, 0))
     assert all(sol(H).predict(s, x) == sol(H).predict(s, x) for x in H.domain())
+
+
+@st.composite
+def small_classes(draw):
+    domain = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.frozensets(
+        st.integers(min_value=0, max_value=(1 << domain) - 1), max_size=8))
+    return FiniteClass(domain, rows)
+
+
+def _error(fn, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_classes())
+def test_sol_steps_equal_the_version_space_forms(H):
+    # The old forms: one version_space call per step, and both sides' dimensions
+    # from a fresh kernel memo, whatever their size.
+    learner = sol(H)
+    n = H.domain_size
+    for v in range(1 << len(H)):
+        for x in range(n):
+            for y in (0, 1):
+                assert learner.update(v, x, y) == v & H.version_space(((x, y),))
+            ones = v & H.version_space(((x, 1),))
+            assert learner.decide(v, x) == int(
+                kernels.ldim(ones, H.splits, {}) >= kernels.ldim(v ^ ones, H.splits, {}))
+    full = learner.init
+    for x in (-1, -n, n, n + 5):
+        expected = _error(H.version_space, ((x, 1),))
+        assert expected == f"instance {x} outside domain of size {n}"
+        assert _error(learner.update, full, x, 1) == expected
+        assert _error(learner.update, full, x, 2) == expected
+        assert _error(learner.decide, full, x) == expected
+    for y in (-1, 2):
+        expected = _error(H.version_space, ((0, y),))
+        assert expected == f"label must be 0 or 1, got {y}"
+        assert _error(learner.update, full, 0, y) == expected
+
+
+def test_sol_enters_the_kernels_only_on_memo_misses(monkeypatch):
+    H = hd_prime(3)
+    entered = {"ldim": [], "game_value": []}
+
+    def counting(name):
+        kernel = getattr(kernels, name)
+
+        def enter(v, splits, memo):
+            assert v & (v - 1) and v not in memo
+            entered[name].append(v)
+            return kernel(v, splits, memo)
+        return enter
+
+    for name in entered:
+        monkeypatch.setattr(kernels, name, counting(name))
+    learner = sol(H)
+    assert mistake_bound(learner, H, Horizon(8)).value == 3
+    assert is_anytime_optimal(learner, H, Horizon(8), check_depth=1).positive
+    for name, spaces in entered.items():
+        assert spaces and len(spaces) == len(set(spaces)), name
 
 
 # ---------------------------------------------------------------------------
