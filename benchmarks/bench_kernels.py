@@ -3,8 +3,7 @@
 Runs ``littlelab.kernels`` on a small battery of classes and prints a timing
 table.  Every value is checked: against the known dimension where there is
 one (thresholds(d) and hd_prime(d) have dimension d, singletons dimension 1),
-and the game value against the dimension.  The last two cases are ldim only:
-the game recursion still walks about 2^40 version spaces on singletons(40).
+and the game value against the dimension.  The last two cases are ldim only.
 Usage:
 
     python3 benchmarks/bench_kernels.py [--repeats N]

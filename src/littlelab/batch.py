@@ -62,17 +62,18 @@ def online_to_batch(learner, sample: Sample) -> ProbabilisticHypothesis:
 # ---------------------------------------------------------------------------
 # Worst-case regret over bounded samples
 
-def expected_regret(learner, H: FiniteClass, T: int, *,
-                    domain_cap: int | None = None,
-                    enumeration_guard: int = 10 ** 6) -> Fraction:
-    """Exact sup over all (not just realizable) length-T samples with
-    instances below the cap of learner loss minus best-in-class loss."""
-    cap = H.domain_size if domain_cap is None else min(domain_cap, H.domain_size)
-    total = (2 * cap) ** T
-    if total > enumeration_guard:
+# The most length-T samples `expected_regret` enumerates.
+ENUMERATION_GUARD = 10 ** 6
+
+
+def expected_regret(learner, H: FiniteClass, T: int) -> Fraction:
+    """Exact sup over all (not just realizable) length-T samples of learner
+    loss minus best-in-class loss."""
+    total = (2 * H.domain_size) ** T
+    if total > ENUMERATION_GUARD:
         raise ValueError(
-            f"{total} samples exceed the enumeration guard {enumeration_guard}")
-    items = [(x, y) for x in range(cap) for y in (0, 1)]
+            f"{total} samples exceed the enumeration guard {ENUMERATION_GUARD}")
+    items = [(x, y) for x in range(H.domain_size) for y in (0, 1)]
     best = Fraction(0)
     for sample in product(items, repeat=T):
         learner_loss, state = Fraction(0), learner.init

@@ -19,8 +19,7 @@ class FuelTank:
             raise ValueError("fuel must be a natural")
         self.remaining = fuel
 
-    def spend(self, amount: int = 1) -> None:
-        if self.remaining < amount:
-            self.remaining = 0
+    def spend(self) -> None:
+        if self.remaining < 1:
             raise FuelExhaustedError("fuel exhausted")
-        self.remaining -= amount
+        self.remaining -= 1

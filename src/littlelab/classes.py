@@ -193,14 +193,11 @@ class EnumerableClass:
 
     generator(i) returns the i-th hypothesis or None for an absent (diverging)
     slot.  The generator must be a pure function of its index.  enumeration
-    budget caps the indices consulted; evaluation budget is advisory for
-    hypotheses whose evaluator is itself fuel-limited.
+    budget caps the indices consulted.
     """
 
     generator: Callable[[int], Hypothesis | None]
     enumeration_budget: int
-    evaluation_budget: int = 10_000
-    domain_hint: int | None = None
 
     def hypotheses(self) -> Iterator[tuple[int, Hypothesis]]:
         for i in range(self.enumeration_budget):
@@ -223,8 +220,7 @@ class EnumerableClass:
                 return None
             return h
 
-        return EnumerableClass(gen, self.enumeration_budget,
-                               self.evaluation_budget, self.domain_hint)
+        return EnumerableClass(gen, self.enumeration_budget)
 
     def is_realizable(self, sample: Sample) -> str:
         """Tri-state: YES if some enumerated hypothesis is consistent, else UNKNOWN."""
@@ -237,7 +233,7 @@ class EnumerableClass:
         return FiniteClass.from_hypotheses(domain_size, (h for _, h in self.hypotheses()))
 
     @staticmethod
-    def embed_finite(H: FiniteClass, enumeration_budget: int | None = None) -> "EnumerableClass":
+    def embed_finite(H: FiniteClass) -> "EnumerableClass":
         rows = H.sorted_rows
         support_of = {i: frozenset(x for x in range(H.domain_size) if (row >> x) & 1)
                       for i, row in enumerate(rows)}
@@ -247,8 +243,7 @@ class EnumerableClass:
                 return Hypothesis.from_support(support_of[i], tag=f"row{i}")
             return None
 
-        budget = enumeration_budget if enumeration_budget is not None else max(len(rows), 1)
-        return EnumerableClass(gen, budget, domain_hint=H.domain_size)
+        return EnumerableClass(gen, max(len(rows), 1))
 
 
 # ---------------------------------------------------------------------------

@@ -49,11 +49,12 @@ def load_oracle(path: str | None) -> TableOracle:
     return default_table_oracle()
 
 
-# The most rows a class from a builder or --file may have.  Above it the
-# game recursion reaches Python's recursion limit (`optimal_mistake_bound`
-# fails at 1,000 singletons), and a horizon-2 sol duel, which grows about as
-# rows^3 on singletons, takes 0.55 s at 128 rows in a fresh process; its game
-# alone takes 0.36 s at 128 rows, 1.35 s at 200 and 3.0 s at 256.
+# The most rows a class from a builder or --file may have.  A horizon-2 sol
+# duel, which grows about as rows^3 on singletons, takes 0.32 s at 128 rows
+# in a fresh process; its game alone takes 0.29 s at 128 rows, 1.2 s at 200
+# and 2.5 s at 256.  Far above it the game recursion can reach Python's
+# recursion limit: `optimal_mistake_bound` fails on thresholds(10), 1,024
+# rows, while singletons(1000) takes 0.15 s.
 MAX_ROWS = 128
 
 # The longest horizon `duel --horizon` accepts.  The game explorer recurses
@@ -174,7 +175,7 @@ def cmd_significance(args) -> list[tuple[str, object]]:
     H = build_class(args)
     report: list[tuple[str, object]] = []
     count = 0
-    for sample in game._realizable_samples(H, args.max_len, H.domain_size):
+    for sample in game.realizable_samples(H, args.max_len):
         for x in range(H.domain_size):
             aopt = significance.is_aopt_significant(H, sample, x)
             opt = significance.is_opt_significant(H, sample, x)

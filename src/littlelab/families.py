@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
+from .budget import FuelExhaustedError
 from .classes import EnumerableClass, FiniteClass, Hypothesis
 from .core import Sample, decode_canonical, encode_sample
-from .learners import (_block_members_ext, _block_members_halt,
-                       factor_block_instance)
 from .littlestone import ShatteredTree, find_shattered_tree, verify_shattered_tree
 from .machine import (HaltsAnswer, Halted, apply2, enumerate_programs,
                       halting_steps, run)
@@ -84,7 +83,7 @@ def triple_block_family(oracle, e_max: int) -> EnumerableClass:
             return Hypothesis.from_support({3 * e, 3 * e + 1}, tag=f"mid{e}")
         return Hypothesis.from_support({3 * e, 3 * e + 1, 3 * e + 2}, tag=f"top{e}")
 
-    return EnumerableClass(gen, 3 * e_max, domain_hint=3 * e_max)
+    return EnumerableClass(gen, 3 * e_max)
 
 
 def pair_block_family(oracle, e_max: int) -> FiniteClass:
@@ -101,17 +100,84 @@ def pair_block_family(oracle, e_max: int) -> FiniteClass:
 # ---------------------------------------------------------------------------
 # Certificate-exponent block families
 
+_DR_PRIMES = (3, 5, 7, 11, 13)
+
+
+def factor_block_instance(x: int) -> tuple[int, int | None, int] | None:
+    """Decompose x = 2**e * y**i with y an odd block prime (or x = 2**e).
+
+    Returns (e, y, i) with y=None, i=0 for pure powers of two; None when x is
+    not of this shape.
+    """
+    if x < 1:
+        return None
+    e = 0
+    while x % 2 == 0:
+        x //= 2
+        e += 1
+    if x == 1:
+        return (e, None, 0)
+    for y in _DR_PRIMES:
+        i = 0
+        while x % y == 0:
+            x //= y
+            i += 1
+        if i:
+            return (e, y, i) if x == 1 else None
+    return None
+
+
+def certificate_position(oracle, e: int, x: int) -> int:
+    """The oracle's certificate position for program e on input x."""
+    index = oracle.certificate_index(e, x)
+    if index is None:
+        raise FuelExhaustedError(
+            f"certificate position for program {e} on input {x} unknown within budget")
+    return index
+
+
+def extended_block_members(oracle, e: int) -> list[frozenset[int]]:
+    """All supports the extended halting-support family places in block e."""
+    if oracle.halts(e, 0).status != HaltsAnswer.YES:
+        return []
+    c0 = certificate_position(oracle, e, 0)
+    members = [frozenset({2 ** e, 2 ** e * 3 ** c0})]
+    reply = oracle.halts(e, e)
+    if reply.status == HaltsAnswer.YES and reply.value in (0, 1):
+        ce = certificate_position(oracle, e, e)
+        if reply.value == 1:
+            members.append(frozenset({2 ** e, 2 ** e * 5 ** c0, 2 ** e * 7 ** ce}))
+            members.append(frozenset({2 ** e, 2 ** e * 5 ** c0, 2 ** e * 11 ** ce}))
+        else:
+            members.append(frozenset({2 ** e, 2 ** e * 5 ** c0, 2 ** e * 13 ** ce}))
+            members.append(frozenset({2 ** e, 2 ** e * 3 ** c0, 2 ** e * 13 ** ce}))
+    return members
+
+
+def two_tier_block_members(oracle, e: int) -> list[frozenset[int]]:
+    """All supports the two-tier halting-support family places in block e."""
+    if oracle.halts(e, 0).status != HaltsAnswer.YES:
+        return []
+    c0 = certificate_position(oracle, e, 0)
+    members = [frozenset({2 ** e, 2 ** e * 3 ** c0})]
+    if oracle.halts(e, e).status == HaltsAnswer.YES:
+        ce = certificate_position(oracle, e, e)
+        members.append(frozenset({2 ** e, 2 ** e * 5 ** c0, 2 ** e * 7 ** ce}))
+        members.append(frozenset({2 ** e, 2 ** e * 5 ** c0, 2 ** e * 11 ** ce}))
+    return members
+
+
 def extended_block_supports(oracle, e_list: Sequence[int]) -> list[frozenset[int]]:
     supports: list[frozenset[int]] = []
     for e in e_list:
-        supports.extend(_block_members_ext(oracle, e))
+        supports.extend(extended_block_members(oracle, e))
     return supports
 
 
 def two_tier_block_supports(oracle, e_list: Sequence[int]) -> list[frozenset[int]]:
     supports: list[frozenset[int]] = []
     for e in e_list:
-        supports.extend(_block_members_halt(oracle, e))
+        supports.extend(two_tier_block_members(oracle, e))
     return supports
 
 

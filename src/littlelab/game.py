@@ -23,16 +23,10 @@ from .errors import NotRealizableError, PropertyViolation
 @dataclass(frozen=True)
 class Horizon:
     t_max: int
-    instance_cap: int | None = None
 
     def __post_init__(self) -> None:
         if self.t_max < 1:
             raise ValueError("horizon must allow at least one round")
-
-    def cap(self, H: FiniteClass) -> int:
-        if self.instance_cap is None:
-            return H.domain_size
-        return min(self.instance_cap, H.domain_size)
 
 
 @dataclass(frozen=True)
@@ -67,17 +61,14 @@ class _Explorer:
         self.learner = learner
         self.H = H
         self.horizon = horizon
-        self.cap = horizon.cap(H)
         self.memo: dict = {}
 
-    def future_mistakes(self, sample: Sample, remaining: int | None = None
-                        ) -> tuple[int, tuple]:
+    def future_mistakes(self, sample: Sample) -> tuple[int, tuple]:
         """(max additional mistakes, adversarial continuation) from `sample`."""
         v = self.H.version_space(sample)
         if not v:
             raise NotRealizableError(f"history {sample.items} is not realizable")
-        return self._explore(self.learner.state(sample), v,
-                             self.horizon.t_max if remaining is None else remaining)
+        return self._explore(self.learner.state(sample), v, self.horizon.t_max)
 
     def _explore(self, state, v: int, remaining: int) -> tuple[int, tuple]:
         if remaining == 0:
@@ -88,7 +79,7 @@ class _Explorer:
         if cached is not None:
             return cached
         best, best_continuation = 0, ()
-        for x in range(self.cap):
+        for x in range(self.H.domain_size):
             prediction = learner.decide(state, x)
             ones = v & self.H.columns[x]
             for y, sub in ((0, v ^ ones), (1, ones)):
@@ -153,7 +144,7 @@ class Verdict:
 
 def is_optimal(learner, H: FiniteClass, horizon: Horizon) -> Verdict:
     bound = mistake_bound(learner, H, horizon)
-    recheck = mistake_bound(learner, H, Horizon(horizon.t_max + 2, horizon.instance_cap))
+    recheck = mistake_bound(learner, H, Horizon(horizon.t_max + 2))
     stabilized = recheck.value == bound.value
     optimum = optimal_mistake_bound(H)
     positive = stabilized and bound.value == optimum
@@ -161,10 +152,11 @@ def is_optimal(learner, H: FiniteClass, horizon: Horizon) -> Verdict:
     return Verdict(positive, recheck.value, optimum, stabilized, counterexample)
 
 
-def _realizable_samples(H: FiniteClass, max_len: int, cap: int):
-    """Breadth-first: shorter prefixes first; within a length, instances
-    ascending with label 1 before label 0.  This canonical order makes the
-    first counterexample reported by the anytime sweep the minimal one."""
+def realizable_samples(H: FiniteClass, max_len: int):
+    """Every realizable sample of length at most max_len, breadth-first:
+    shorter prefixes first; within a length, instances ascending with label 1
+    before label 0.  This canonical order makes the first counterexample
+    reported by the anytime sweep the minimal one."""
     if not H.rows:
         return
     frontier: list[tuple[Sample, int]] = [(Sample(), H.version_space(()))]
@@ -174,7 +166,7 @@ def _realizable_samples(H: FiniteClass, max_len: int, cap: int):
             yield sample
             if depth == max_len:  # no level after this one is yielded
                 continue
-            for x in range(cap):
+            for x in range(H.domain_size):
                 ones = v & H.columns[x]
                 for y, sub in ((1, ones), (0, v ^ ones)):
                     if sub:
@@ -187,9 +179,8 @@ def is_anytime_optimal(learner, H: FiniteClass, horizon: Horizon,
     """Optimality after every realizable prefix up to check_depth."""
     depth = horizon.t_max if check_depth is None else check_depth
     explorer = _Explorer(learner, H, horizon)
-    cap = horizon.cap(H)
     optimum_root = optimal_mistake_bound(H)
-    for sample in _realizable_samples(H, depth, cap):
+    for sample in realizable_samples(H, depth):
         achieved, _ = explorer.future_mistakes(sample)
         optimum = optimal_post_sample_bound(H, sample)
         if achieved > optimum:

@@ -22,7 +22,11 @@ Four rules prune the recursions, and all are admissible:
   stops at it.  On singletons it is 1, where floor(log2 |v|) let the
   recursion visit about 2^|v| version spaces.  An instance whose column is
   the complement of another's has the same minority side, so `splits` serve
-  this bound as well as every column would;
+  this bound as well as every column would.  A node whose bound is 1 has
+  value exactly 1 and returns it before trying a split: v has two rows or
+  more, so some kept split divides it, and every dividing split scores at
+  least 1.  A singletons-like space is then one memo entry, and the
+  recursion does not descend one frame per row;
 * a split whose best possible value, computed from those bounds on its two
   sides, cannot beat the best split so far is skipped.  A side's value is at
   most its parent's, so the game recursion also caps each side at the
@@ -131,6 +135,9 @@ def game_value(v: int, splits: tuple[tuple[int, int], ...], memo: dict[int, int]
                     most = ones
             else:
                 cap = most.bit_length()
+        if cap == 1:
+            memo[v] = 1
+            return 1
         best = 0
         for _, col in splits:
             ones = v & col

@@ -20,6 +20,8 @@ from typing import Callable, Hashable, Iterable
 from .budget import FuelExhaustedError, FuelTank
 from .classes import EnumerableClass, FiniteClass
 from .core import Sample, encode_sample
+from .families import (certificate_position, extended_block_members,
+                       factor_block_instance, two_tier_block_members)
 from .littlestone import ShatteredTree, tree_enumerator
 from .machine import HaltsAnswer, apply2, Halted
 
@@ -252,72 +254,6 @@ def b_triple_blocks() -> Learner:
                    lambda state, x: _match(state[1], x))
 
 
-_DR_PRIMES = (3, 5, 7, 11, 13)
-
-
-def factor_block_instance(x: int) -> tuple[int, int | None, int] | None:
-    """Decompose x = 2**e * y**i with y an odd block prime (or x = 2**e).
-
-    Returns (e, y, i) with y=None, i=0 for pure powers of two; None when x is
-    not of this shape.
-    """
-    if x < 1:
-        return None
-    e = 0
-    while x % 2 == 0:
-        x //= 2
-        e += 1
-    if x == 1:
-        return (e, None, 0)
-    for y in _DR_PRIMES:
-        i = 0
-        while x % y == 0:
-            x //= y
-            i += 1
-        if i:
-            return (e, y, i) if x == 1 else None
-    return None
-
-
-def _c_value(oracle, e: int, x: int) -> int:
-    index = oracle.certificate_index(e, x)
-    if index is None:
-        raise FuelExhaustedError(
-            f"certificate position for program {e} on input {x} unknown within budget")
-    return index
-
-
-def _block_members_ext(oracle, e: int) -> list[frozenset[int]]:
-    """All supports the extended halting-support family places in block e."""
-    if oracle.halts(e, 0).status != HaltsAnswer.YES:
-        return []
-    c0 = _c_value(oracle, e, 0)
-    members = [frozenset({2 ** e, 2 ** e * 3 ** c0})]
-    reply = oracle.halts(e, e)
-    if reply.status == HaltsAnswer.YES and reply.value in (0, 1):
-        ce = _c_value(oracle, e, e)
-        if reply.value == 1:
-            members.append(frozenset({2 ** e, 2 ** e * 5 ** c0, 2 ** e * 7 ** ce}))
-            members.append(frozenset({2 ** e, 2 ** e * 5 ** c0, 2 ** e * 11 ** ce}))
-        else:
-            members.append(frozenset({2 ** e, 2 ** e * 5 ** c0, 2 ** e * 13 ** ce}))
-            members.append(frozenset({2 ** e, 2 ** e * 3 ** c0, 2 ** e * 13 ** ce}))
-    return members
-
-
-def _block_members_halt(oracle, e: int) -> list[frozenset[int]]:
-    """All supports the two-tier halting-support family places in block e."""
-    if oracle.halts(e, 0).status != HaltsAnswer.YES:
-        return []
-    c0 = _c_value(oracle, e, 0)
-    members = [frozenset({2 ** e, 2 ** e * 3 ** c0})]
-    if oracle.halts(e, e).status == HaltsAnswer.YES:
-        ce = _c_value(oracle, e, e)
-        members.append(frozenset({2 ** e, 2 ** e * 5 ** c0, 2 ** e * 7 ** ce}))
-        members.append(frozenset({2 ** e, 2 ** e * 5 ** c0, 2 ** e * 11 ** ce}))
-    return members
-
-
 def _resolve_target(candidates: Iterable[frozenset[int]],
                     seen: tuple[tuple[int, int], ...],
                     current: frozenset[int]) -> frozenset[int]:
@@ -371,17 +307,17 @@ def b_extended_blocks(oracle) -> Learner:
             return frozenset({2 ** e, xt})
         reply = oracle.halts(e, e)
         if reply.status == HaltsAnswer.YES and reply.value == 1:
-            return frozenset({2 ** e, 2 ** e * 5 ** _c_value(oracle, e, 0)})
+            return frozenset({2 ** e, 2 ** e * 5 ** certificate_position(oracle, e, 0)})
         if reply.status == HaltsAnswer.YES and reply.value == 0:
             # Matching the two-element {2^e, 2^e 13^ce} admits a third
             # mistake (after erring on (2^e 3^c0, 1) two candidates remain);
             # the member below keeps every second mistake target-determining.
-            return frozenset({2 ** e, 2 ** e * 3 ** _c_value(oracle, e, 0),
-                              2 ** e * 13 ** _c_value(oracle, e, e)})
-        return frozenset({2 ** e, 2 ** e * 3 ** _c_value(oracle, e, 0)})
+            return frozenset({2 ** e, 2 ** e * 3 ** certificate_position(oracle, e, 0),
+                              2 ** e * 13 ** certificate_position(oracle, e, e)})
+        return frozenset({2 ** e, 2 ** e * 3 ** certificate_position(oracle, e, 0)})
 
     return _block_learner("b-extended-blocks", first_support,
-                          lambda e: _block_members_ext(oracle, e))
+                          lambda e: extended_block_members(oracle, e))
 
 
 def b_two_tier_blocks(oracle) -> Learner:
@@ -398,13 +334,14 @@ def b_two_tier_blocks(oracle) -> Learner:
         if y == 3:
             return frozenset({2 ** e, xt})
         if y in (5, 7, 11):
-            return frozenset({2 ** e, 2 ** e * 5 ** _c_value(oracle, e, 0), xt})
+            c0 = certificate_position(oracle, e, 0)
+            return frozenset({2 ** e, 2 ** e * 5 ** c0, xt})
         if y is None:
-            return frozenset({2 ** e, 2 ** e * 5 ** _c_value(oracle, e, 0)})
+            return frozenset({2 ** e, 2 ** e * 5 ** certificate_position(oracle, e, 0)})
         return None
 
     return _block_learner("b-two-tier-blocks", first_support,
-                          lambda e: _block_members_halt(oracle, e))
+                          lambda e: two_tier_block_members(oracle, e))
 
 
 # ---------------------------------------------------------------------------

@@ -89,17 +89,24 @@ def is_opt_significant(H: FiniteClass, sample: Sample, x: int) -> SignificanceVe
 # ---------------------------------------------------------------------------
 # Brute-force oracle
 
-def _check_caps(H: FiniteClass, sample: Sample, *, max_domain: int,
-                max_rows: int, max_sample_len: int) -> None:
-    if H.domain_size > max_domain:
+# The largest domain, row count and sample length the brute-force entry
+# points accept.
+BRUTE_FORCE_MAX_DOMAIN = 4
+BRUTE_FORCE_MAX_ROWS = 8
+BRUTE_FORCE_MAX_SAMPLE_LEN = 4
+
+
+def _check_caps(H: FiniteClass, sample: Sample) -> None:
+    if H.domain_size > BRUTE_FORCE_MAX_DOMAIN:
         raise InstanceTooLargeError(
-            f"domain {H.domain_size} exceeds brute-force cap {max_domain}")
-    if len(H.rows) > max_rows:
+            f"domain {H.domain_size} exceeds brute-force cap {BRUTE_FORCE_MAX_DOMAIN}")
+    if len(H.rows) > BRUTE_FORCE_MAX_ROWS:
         raise InstanceTooLargeError(
-            f"{len(H.rows)} rows exceed brute-force cap {max_rows}")
-    if len(sample) > max_sample_len:
+            f"{len(H.rows)} rows exceed brute-force cap {BRUTE_FORCE_MAX_ROWS}")
+    if len(sample) > BRUTE_FORCE_MAX_SAMPLE_LEN:
         raise InstanceTooLargeError(
-            f"sample length {len(sample)} exceeds brute-force cap {max_sample_len}")
+            f"sample length {len(sample)} exceeds brute-force cap "
+            f"{BRUTE_FORCE_MAX_SAMPLE_LEN}")
 
 
 def _chain_game_value(H: FiniteClass, chain: tuple, pins: dict,
@@ -145,13 +152,11 @@ def _pinned_values(H: FiniteClass, sample: Sample, pins: dict) -> list[int]:
     return values
 
 
-def brute_force_opt_significant(H: FiniteClass, sample: Sample, x: int, *,
-                                max_domain: int = 4, max_rows: int = 8,
-                                max_sample_len: int = 4) -> SignificanceVerdict:
+def brute_force_opt_significant(H: FiniteClass, sample: Sample,
+                                x: int) -> SignificanceVerdict:
     """Significance from the definition: which pinned predictions at (S, x)
     admit a strategy whose overall worst case still meets the optimum."""
-    _check_caps(H, sample, max_domain=max_domain, max_rows=max_rows,
-                max_sample_len=max_sample_len)
+    _check_caps(H, sample)
     _require_realizable(H, sample)
     optimum = optimal_mistake_bound(H)
     achievable = [r for r in (0, 1)
@@ -162,13 +167,11 @@ def brute_force_opt_significant(H: FiniteClass, sample: Sample, x: int, *,
     return SignificanceVerdict(False, None, "brute-force", (tuple(achievable),))
 
 
-def brute_force_aopt_significant(H: FiniteClass, sample: Sample, x: int, *,
-                                 max_domain: int = 4, max_rows: int = 8,
-                                 max_sample_len: int = 4) -> SignificanceVerdict:
+def brute_force_aopt_significant(H: FiniteClass, sample: Sample,
+                                 x: int) -> SignificanceVerdict:
     """Like brute_force_opt_significant, but a pinned prediction must keep
     the strategy optimal after every prefix of the history as well."""
-    _check_caps(H, sample, max_domain=max_domain, max_rows=max_rows,
-                max_sample_len=max_sample_len)
+    _check_caps(H, sample)
     _require_realizable(H, sample)
     dims = [H.ldim_of(H.version_space(sample.items[:t])) for t in range(len(sample) + 1)]
     achievable = []
@@ -185,13 +188,10 @@ def brute_force_aopt_significant(H: FiniteClass, sample: Sample, x: int, *,
 # ---------------------------------------------------------------------------
 # Mistake profiles of optimal learners on a fixed sample
 
-def achievable_mistake_counts(H: FiniteClass, sample: Sample, *,
-                              max_domain: int = 4, max_rows: int = 8,
-                              max_sample_len: int = 4) -> set[int]:
+def achievable_mistake_counts(H: FiniteClass, sample: Sample) -> set[int]:
     """All values of M_A(sample) over optimal learners A, by pinning every
     on-chain prediction and testing compatibility with optimality."""
-    _check_caps(H, sample, max_domain=max_domain, max_rows=max_rows,
-                max_sample_len=max_sample_len)
+    _check_caps(H, sample)
     _require_realizable(H, sample)
     optimum = optimal_mistake_bound(H)
     counts: set[int] = set()
@@ -220,31 +220,23 @@ def condition_a_holds(H: FiniteClass, sample: Sample) -> bool:
     return all(holds for _, holds in _step_dimensions(H, H.version_space(()), sample))
 
 
-def check_condition_equivalence(H: FiniteClass, sample: Sample, *,
-                                max_domain: int = 4, max_rows: int = 8,
-                                max_sample_len: int = 4) -> EquivalenceReport:
+def check_condition_equivalence(H: FiniteClass, sample: Sample) -> EquivalenceReport:
     """The per-step dimension conditions hold iff every optimal learner makes
     exactly dim(H) - dim(H_S) mistakes on the sample."""
     expected = ldim(H) - H.ldim_of(H.version_space(sample))
-    counts = achievable_mistake_counts(H, sample, max_domain=max_domain,
-                                       max_rows=max_rows,
-                                       max_sample_len=max_sample_len)
+    counts = achievable_mistake_counts(H, sample)
     condition_b = counts == {expected}
     return EquivalenceReport(condition_a_holds(H, sample), condition_b,
                              frozenset(counts), expected)
 
 
-def check_forced_mistake_count(H: FiniteClass, sample: Sample, x: int, *,
-                               max_domain: int = 4, max_rows: int = 8,
-                               max_sample_len: int = 4) -> int:
+def check_forced_mistake_count(H: FiniteClass, sample: Sample, x: int) -> int:
     """For a significant input, the unique mistake count m of all optimal
     learners on the history, with dim(H_S) = dim(H) - m."""
     verdict = is_opt_significant(H, sample, x)
     if not verdict.significant:
         raise ValueError("input is not significant; no forced mistake count")
-    counts = achievable_mistake_counts(H, sample, max_domain=max_domain,
-                                       max_rows=max_rows,
-                                       max_sample_len=max_sample_len)
+    counts = achievable_mistake_counts(H, sample)
     if len(counts) != 1:
         raise AssertionError(f"expected a unique mistake count, got {counts}")
     (m,) = counts

@@ -18,10 +18,10 @@ from littlelab.families import (adversarial_family, diagonal_forcing_sample,
                                 extended_block_supports,
                                 extended_family_decider, find_thresholds, s2,
                                 triple_block_family)
-from littlelab.game import (Horizon, _Explorer, _realizable_samples,
-                            is_anytime_optimal, is_optimal, mistake_bound,
-                            mistakes_on_sample, optimal_mistake_bound,
-                            optimal_post_sample_bound)
+from littlelab.game import (Horizon, _Explorer, is_anytime_optimal,
+                            is_optimal, mistake_bound, mistakes_on_sample,
+                            optimal_mistake_bound, optimal_post_sample_bound,
+                            realizable_samples)
 from littlelab.learners import (b_triple_blocks, sol,
                                 threshold_fallback_learner, toy_learner)
 from littlelab.littlestone import (find_shattered_tree, ldim,
@@ -66,7 +66,7 @@ def test_criterion_03_post_sample_bounds_track_the_version_space():
     for H in classes:
         horizon = Horizon(2 * max(ldim(H), 1) + 2)
         explorer = _Explorer(sol(H), H, horizon)
-        for sample in _realizable_samples(H, 3, H.domain_size):
+        for sample in realizable_samples(H, 3):
             optimum = optimal_post_sample_bound(H, sample)
             assert optimum == ldim(restrict(H, sample))
             achieved, _ = explorer.future_mistakes(sample)
@@ -92,7 +92,7 @@ def test_criterion_05_closed_forms_match_the_brute_force_oracle():
     classes = seeded_classes(55, 10, max_domain=4, max_rows=8)
     checked = 0
     for H in classes:
-        for sample in _realizable_samples(H, 2, H.domain_size):
+        for sample in realizable_samples(H, 2):
             for x in H.domain():
                 opt = is_opt_significant(H, sample, x)
                 brute = brute_force_opt_significant(H, sample, x)
@@ -110,7 +110,7 @@ def test_criterion_06_per_step_conditions_equal_forced_mistake_counts():
     classes = seeded_classes(55, 10, max_domain=4, max_rows=8)
     checked = 0
     for H in classes:
-        for sample in _realizable_samples(H, 2, H.domain_size):
+        for sample in realizable_samples(H, 2):
             report = check_condition_equivalence(H, sample)
             assert report.equivalent, (H, sample.items, report)
             checked += 1

@@ -5,10 +5,10 @@ from littlelab.classes import (FiniteClass, hd_prime, restrict, singletons,
                                thresholds)
 from littlelab.core import Sample
 from littlelab.errors import NotRealizableError
-from littlelab.game import (Horizon, _realizable_samples, is_anytime_optimal,
-                            is_optimal, mistake_bound, mistakes_on_sample,
+from littlelab.game import (Horizon, is_anytime_optimal, is_optimal,
+                            mistake_bound, mistakes_on_sample,
                             optimal_mistake_bound, optimal_post_sample_bound,
-                            post_sample_mistake_bound)
+                            post_sample_mistake_bound, realizable_samples)
 from littlelab.learners import (conservative_learner, constant_learner, sol,
                                 threshold_fallback_learner)
 from littlelab.littlestone import ldim
@@ -18,8 +18,6 @@ from conftest import seeded_classes
 def test_horizon_validation():
     with pytest.raises(ValueError):
         Horizon(0)
-    assert Horizon(3, instance_cap=2).cap(thresholds(2)) == 2
-    assert Horizon(3).cap(thresholds(2)) == 4
 
 
 def test_mistakes_on_sample_counts_raw_disagreements():
@@ -63,7 +61,7 @@ def test_post_sample_bounds():
     empty = Sample()
     assert post_sample_mistake_bound(learner, H, empty, Horizon(6)) == \
         mistake_bound(learner, H, Horizon(6)).value
-    for sample in _realizable_samples(H, 2, H.domain_size):
+    for sample in realizable_samples(H, 2):
         optimum = optimal_post_sample_bound(H, sample)
         assert optimum == ldim(restrict(H, sample))
         assert post_sample_mistake_bound(learner, H, sample, Horizon(6)) == optimum
@@ -95,7 +93,7 @@ def test_anytime_counterexample_is_bfs_minimal():
 
 def test_realizable_sample_generator_is_breadth_first():
     H = singletons(2)
-    samples = list(_realizable_samples(H, 1, 2))
+    samples = list(realizable_samples(H, 1))
     lengths = [len(s) for s in samples]
     assert lengths == sorted(lengths)
     assert samples[0] == Sample()
@@ -121,7 +119,7 @@ def test_realizable_samples_build_no_level_past_the_last(monkeypatch):
 
     monkeypatch.setattr(Sample, "append", counting_append)
     H = hd_prime(2)
-    samples = list(_realizable_samples(H, 2, H.domain_size))
+    samples = list(realizable_samples(H, 2))
     assert len(samples) == 79
     assert len(appended) == 78  # one per nonempty sample yielded
 
@@ -151,5 +149,5 @@ def test_mistake_bound_is_the_worst_realizable_sample(case):
     # definition is the plain maximum over every realizable sample.
     learner, H, t = case
     worst = max(mistakes_on_sample(learner, sample)
-                for sample in _realizable_samples(H, t, H.domain_size))
+                for sample in realizable_samples(H, t))
     assert mistake_bound(learner, H, Horizon(t)).value == worst

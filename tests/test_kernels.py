@@ -119,6 +119,15 @@ def test_ldim_kernel_stops_at_a_side_of_dimension_zero():
     assert len(H._ldim_memo) == 1
 
 
+def test_game_kernel_stops_at_a_bound_of_one():
+    # The first-mistake bound of singletons(1000) is 1, so the root returns
+    # 1 at once instead of descending one frame per row, past the
+    # interpreter's recursion limit.
+    H = singletons(1000)
+    assert optimal_mistake_bound(H) == 1
+    assert len(H._game_memo) == 1
+
+
 @st.composite
 def classes_with_complement_instances(draw):
     # Instance domain + k is the complement of instance xs[k]: `splits` keeps
@@ -148,7 +157,7 @@ def test_game_values_with_complement_instances_match_reference(case):
 
 def test_game_kernel_visits_few_version_spaces_where_the_value_is_small():
     # floor(log2 |v|) never binds on these classes, where the first-mistake
-    # bound does: the memo holds 15 and 12 version spaces, not 65,385 and 3,061.
+    # bound does: the memo holds 1 and 8 version spaces, not 65,385 and 3,061.
     oracle = default_table_oracle()
     dr_halt = families.IndexedClass.from_supports(
         families.two_tier_block_supports(oracle, range(6))).finite

@@ -151,8 +151,8 @@ def test_sig_predictor_agrees_with_sol_on_significant_inputs():
     enumerable = EnumerableClass.embed_finite(H)
     predictor = sig_predictor(enumerable, ldim(H))
     reference = sol(H)
-    from littlelab.game import _realizable_samples
-    for sample in _realizable_samples(H, 1, H.domain_size):
+    from littlelab.game import realizable_samples
+    for sample in realizable_samples(H, 1):
         for x in H.domain():
             if is_opt_significant(H, sample, x).significant:
                 assert predictor.predict(sample, x) == reference.predict(sample, x)

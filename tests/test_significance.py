@@ -4,9 +4,12 @@ from littlelab.classes import (FiniteClass, hd_prime, restrict, singletons,
                                thresholds)
 from littlelab.core import Sample
 from littlelab.errors import InstanceTooLargeError, NotRealizableError
-from littlelab.game import _realizable_samples
+from littlelab.game import realizable_samples
 from littlelab.littlestone import ldim
-from littlelab.significance import (achievable_mistake_counts,
+from littlelab.significance import (BRUTE_FORCE_MAX_DOMAIN,
+                                    BRUTE_FORCE_MAX_ROWS,
+                                    BRUTE_FORCE_MAX_SAMPLE_LEN,
+                                    achievable_mistake_counts,
                                     brute_force_aopt_significant,
                                     brute_force_opt_significant,
                                     check_condition_equivalence,
@@ -36,12 +39,11 @@ def test_significance_after_pinning_the_extra_hypothesis():
 
 
 def test_forced_mistake_count_requires_significance():
-    H = hd_prime(3)
-    assert check_forced_mistake_count(
-        H, Sample(), 8, max_domain=10, max_rows=9) == 0
+    H = singletons(4)
+    assert check_forced_mistake_count(H, Sample(), 0) == 0
+    assert check_forced_mistake_count(H, Sample.of((0, 1)), 1) == 1
     with pytest.raises(ValueError):
-        check_forced_mistake_count(H, Sample.of((8, 1)), 9,
-                                   max_domain=10, max_rows=9)
+        check_forced_mistake_count(singletons(2), Sample.of((0, 1)), 1)
 
 
 def test_unrealizable_histories_are_rejected():
@@ -53,18 +55,43 @@ def test_unrealizable_histories_are_rejected():
             fn(H, bad, 2)
 
 
-def test_brute_force_caps_are_enforced_and_overridable():
-    H = thresholds(3)  # domain 8 exceeds the default cap of 4
-    with pytest.raises(InstanceTooLargeError):
-        brute_force_opt_significant(H, Sample(), 0)
-    verdict = brute_force_opt_significant(H, Sample(), 0,
-                                          max_domain=8, max_rows=8)
-    assert verdict == verdict  # runs once caps are lifted
+BRUTE_FORCE_ENTRY_POINTS = (
+    brute_force_opt_significant,
+    brute_force_aopt_significant,
+    lambda H, sample, x: achievable_mistake_counts(H, sample),
+    lambda H, sample, x: check_condition_equivalence(H, sample),
+    check_forced_mistake_count,
+)
+
+
+def test_brute_force_caps_are_enforced():
+    # Eight rows free on instances 1-3 and 0 on instance 0, so (0, 0) is a
+    # significant step of every history and each entry point reaches its caps.
+    rows = [r << 1 for r in range(BRUTE_FORCE_MAX_ROWS)]
+    at_caps = FiniteClass.from_rows(BRUTE_FORCE_MAX_DOMAIN, rows)
+    assert len(at_caps) == BRUTE_FORCE_MAX_ROWS
+    longest = Sample.of(*[(0, 0)] * BRUTE_FORCE_MAX_SAMPLE_LEN)
+    above = [
+        (FiniteClass.from_rows(BRUTE_FORCE_MAX_DOMAIN + 1, rows), Sample(),
+         f"domain {BRUTE_FORCE_MAX_DOMAIN + 1} exceeds brute-force cap "
+         f"{BRUTE_FORCE_MAX_DOMAIN}$"),
+        (FiniteClass.from_rows(BRUTE_FORCE_MAX_DOMAIN, rows + [1]), Sample(),
+         f"{BRUTE_FORCE_MAX_ROWS + 1} rows exceed brute-force cap "
+         f"{BRUTE_FORCE_MAX_ROWS}$"),
+        (at_caps, longest.append(0, 0),
+         f"sample length {BRUTE_FORCE_MAX_SAMPLE_LEN + 1} exceeds brute-force "
+         f"cap {BRUTE_FORCE_MAX_SAMPLE_LEN}$"),
+    ]
+    for entry_point in BRUTE_FORCE_ENTRY_POINTS:
+        entry_point(at_caps, longest, 0)
+        for H, sample, message in above:
+            with pytest.raises(InstanceTooLargeError, match=message):
+                entry_point(H, sample, 0)
 
 
 def test_closed_forms_match_brute_force_on_singletons():
     H = singletons(3)
-    for sample in _realizable_samples(H, 2, H.domain_size):
+    for sample in realizable_samples(H, 2):
         for x in H.domain():
             closed = is_opt_significant(H, sample, x)
             brute = brute_force_opt_significant(H, sample, x)
@@ -89,7 +116,7 @@ def test_achievable_mistake_counts_pinpoints_optimal_runs():
 def test_condition_equivalence_on_small_classes():
     for H in (singletons(2), thresholds(1),
               FiniteClass.from_rows(3, [0b001, 0b011, 0b111])):
-        for sample in _realizable_samples(H, 2, H.domain_size):
+        for sample in realizable_samples(H, 2):
             report = check_condition_equivalence(H, sample)
             assert report.equivalent, (H, sample.items, report)
 
