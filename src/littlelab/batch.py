@@ -24,7 +24,6 @@ class ProbabilisticHypothesis:
     """A [0,1]-valued predictor: the probability of emitting label 1."""
 
     fn: Callable[[int], Fraction]
-    tag: str = ""
 
     def __call__(self, x: int) -> Fraction:
         value = Fraction(self.fn(x))
@@ -56,7 +55,7 @@ def online_to_batch(learner, sample: Sample) -> ProbabilisticHypothesis:
     def fn(x: int) -> Fraction:
         return sum(Fraction(learner.decide(state, x)) for state in states) / len(states)
 
-    return ProbabilisticHypothesis(fn, tag=f"avg[{learner.name}]")
+    return ProbabilisticHypothesis(fn)
 
 
 # ---------------------------------------------------------------------------

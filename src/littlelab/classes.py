@@ -28,7 +28,6 @@ class Hypothesis:
 
     fn: Callable[[int], int] | None = None
     support: frozenset[int] | None = None
-    tag: str = ""
 
     def __post_init__(self) -> None:
         if self.fn is None and self.support is None:
@@ -41,8 +40,8 @@ class Hypothesis:
         return int(self.fn(x))
 
     @staticmethod
-    def from_support(instances: Iterable[int], tag: str = "") -> "Hypothesis":
-        return Hypothesis(support=frozenset(instances), tag=tag)
+    def from_support(instances: Iterable[int]) -> "Hypothesis":
+        return Hypothesis(support=frozenset(instances))
 
 
 class Tristate:
@@ -131,27 +130,12 @@ class FiniteClass:
     def domain(self) -> range:
         return range(self.domain_size)
 
-    def evaluate(self, row: int, x: int) -> int:
-        return (row >> x) & 1
-
     def row_string(self, row: int) -> str:
         return "".join(str((row >> x) & 1) for x in range(self.domain_size))
 
     @staticmethod
     def from_rows(domain_size: int, rows: Iterable[int]) -> "FiniteClass":
         return FiniteClass(domain_size, frozenset(rows))
-
-    @staticmethod
-    def from_strings(rows: Sequence[str]) -> "FiniteClass":
-        if not rows:
-            return FiniteClass(0, frozenset())
-        n = len(rows[0])
-        masks = []
-        for line in rows:
-            if len(line) != n or set(line) - {"0", "1"}:
-                raise ClassFileError(f"bad row {line!r}")
-            masks.append(sum(1 << x for x, c in enumerate(line) if c == "1"))
-        return FiniteClass(n, frozenset(masks))
 
     @staticmethod
     def from_hypotheses(domain_size: int, hypotheses: Iterable[Hypothesis]) -> "FiniteClass":
@@ -240,7 +224,7 @@ class EnumerableClass:
 
         def gen(i: int) -> Hypothesis | None:
             if i < len(rows):
-                return Hypothesis.from_support(support_of[i], tag=f"row{i}")
+                return Hypothesis.from_support(support_of[i])
             return None
 
         return EnumerableClass(gen, max(len(rows), 1))
@@ -274,13 +258,9 @@ def hd_prime_extra_instances(d: int) -> list[int]:
 
 def hd_prime(d: int) -> FiniteClass:
     """Thresholds plus one disjointly-supported hypothesis over d-1 extra instances."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    size = (1 << d) + d - 1
-    rows = set((1 << n) - 1 for n in range(1, (1 << d) + 1))
+    rows = thresholds(d).rows  # rejects d < 1
     extra = sum(1 << x for x in hd_prime_extra_instances(d))
-    rows.add(extra)
-    return FiniteClass(size, frozenset(rows))
+    return FiniteClass((1 << d) + d - 1, rows | {extra})
 
 
 def to_file(H: FiniteClass, path: str) -> None:

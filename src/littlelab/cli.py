@@ -106,8 +106,7 @@ def build_learner(name: str, H: FiniteClass):
         # Only meaningful for the extended threshold family: sol plus the
         # predict-0 deviation on unseen extra instances.
         d = (H.domain_size + 1).bit_length() - 1
-        threshold_rows = frozenset((1 << n) - 1 for n in range(1, (1 << d) + 1))
-        if not threshold_rows <= H.rows:
+        if d < 1 or not (threshold_rows := thresholds(d).rows) <= H.rows:
             raise UsageError("fallback learner requires the hd-prime builder")
         return learners.threshold_fallback_learner(H, threshold_rows)
     if name.startswith("toy:"):
@@ -197,8 +196,7 @@ def cmd_demo_hdprime(args) -> list[tuple[str, object]]:
                          f"games take about 14 s at d = 5 and grow steeply with d")
     H = hd_prime(d)
     extra = classes.hd_prime_extra_instances(d)
-    threshold_rows = frozenset((1 << n) - 1 for n in range(1, (1 << d) + 1))
-    learner_a = learners.threshold_fallback_learner(H, threshold_rows)
+    learner_a = learners.threshold_fallback_learner(H, thresholds(d).rows)
     learner_sol = learners.sol(H)
     gap_sample = Sample.of(*((x, 1) for x in extra))
     a_errs = game.mistakes_on_sample(learner_a, gap_sample)
@@ -241,7 +239,7 @@ def cmd_demo_rer_halt(args) -> list[tuple[str, object]]:
     return report
 
 
-def _dr_reports(oracle, supports, decider, indexed) -> list[tuple[str, object]]:
+def _dr_reports(supports, decider, indexed) -> list[tuple[str, object]]:
     report: list[tuple[str, object]] = [("members", len(supports)),
                                         ("ldim", ldim(indexed.finite))]
     for support in supports:
@@ -290,7 +288,7 @@ def cmd_demo_dr_ext(args) -> list[tuple[str, object]]:
     indexed = families.IndexedClass.from_supports(supports)
     _check_dr_ext_truncation(oracle, indexed, args.e_max)
     decider = families.extended_family_decider(oracle)
-    report = _dr_reports(oracle, supports, decider, indexed)
+    report = _dr_reports(supports, decider, indexed)
     expect(ldim(indexed.finite) == 2, "extended family truncation must have dimension 2")
     for e in e_list:
         base = 2 ** e
@@ -322,7 +320,7 @@ def cmd_demo_dr_halt(args) -> list[tuple[str, object]]:
                          f"e < {args.e_max} is populated; raise --e-max")
     indexed = families.IndexedClass.from_supports(supports)
     decider = families.two_tier_family_decider(oracle)
-    report = _dr_reports(oracle, supports, decider, indexed)
+    report = _dr_reports(supports, decider, indexed)
     for e in e_list:
         base = 2 ** e
         if all(base not in support for support in supports):

@@ -18,12 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-try:
-    from gmpy2 import mpz  # GMP-backed bignums: much faster giant powers
-except ImportError:  # pragma: no cover - optional speedup
-    def mpz(value):
-        return value
-
 
 class NotInRangeError(ValueError):
     """Raised when an integer is not a valid sequence code."""
@@ -100,14 +94,14 @@ def encode_sequence(z: Sequence[int] | Iterable[int]) -> int:
     if not entries:
         return 1
     odd = list(zip(_primes(len(entries))[1:], (v + 1 for v in entries[1:])))
-    code = mpz(1)
+    code = 1
     for bit in reversed(range(max((e for _, e in odd), default=0).bit_length())):
         factor = 1
         for p, e in odd:
             if e >> bit & 1:
                 factor *= p
         code = code * code * factor
-    return int(code << (entries[0] + 1))
+    return code << (entries[0] + 1)
 
 
 def decode_sequence(code: int) -> tuple[int, ...]:

@@ -76,12 +76,12 @@ def triple_block_family(oracle, e_max: int) -> EnumerableClass:
     def gen(i: int) -> Hypothesis | None:
         e, k = divmod(i, 3)
         if k == 0:
-            return Hypothesis.from_support({3 * e}, tag=f"base{e}")
+            return Hypothesis.from_support({3 * e})
         if oracle.halts(e, e).status != HaltsAnswer.YES:
             return None
         if k == 1:
-            return Hypothesis.from_support({3 * e, 3 * e + 1}, tag=f"mid{e}")
-        return Hypothesis.from_support({3 * e, 3 * e + 1, 3 * e + 2}, tag=f"top{e}")
+            return Hypothesis.from_support({3 * e, 3 * e + 1})
+        return Hypothesis.from_support({3 * e, 3 * e + 1, 3 * e + 2})
 
     return EnumerableClass(gen, 3 * e_max)
 
@@ -332,7 +332,7 @@ def adversarial_family(i_max: int, step_budget: int = 10_000) -> EnumerableClass
                 return 0
             return diagonal_label(n, step_budget)[0]
 
-        return Hypothesis(fn=evaluate, tag=f"block{i}")
+        return Hypothesis(fn=evaluate)
 
     return EnumerableClass(gen, i_max)
 
@@ -354,7 +354,7 @@ def stage_hypothesis(s: int) -> Hypothesis:
     def evaluate(x: int) -> int:
         return int(halting_steps(enumerate_programs(x), x, s) is not None)
 
-    return Hypothesis(fn=evaluate, tag=f"stage{s}")
+    return Hypothesis(fn=evaluate)
 
 
 @dataclass(frozen=True)

@@ -44,9 +44,6 @@ class Learner:
     def predict(self, sample: Sample, x: int) -> int:
         return self.decide(self.state(sample), x)
 
-    def __call__(self, sample: Sample, x: int) -> int:
-        return self.predict(sample, x)
-
 
 def _replaying(name: str, predict: Callable[[Sample, int], int]) -> Learner:
     """A learner whose state is the whole history, for a prediction function
@@ -347,11 +344,10 @@ def b_two_tier_blocks(oracle) -> Learner:
 # ---------------------------------------------------------------------------
 # Domain adaptation
 
-def relabeled(learner: Learner, to_natural: Callable[[int], int],
-              name: str | None = None) -> Learner:
+def relabeled(learner: Learner, to_natural: Callable[[int], int]) -> Learner:
     """Adapt a learner over true naturals to a compact re-indexed domain.
     The state is the inner learner's, and so is the key."""
-    return Learner(name or f"{learner.name}@reindexed", learner.init,
+    return Learner(f"{learner.name}@reindexed", learner.init,
                    lambda state, x, y: learner.update(state, to_natural(x), y),
                    lambda state, x: learner.decide(state, to_natural(x)),
                    learner.key)

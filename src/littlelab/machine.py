@@ -13,10 +13,11 @@ Two-place functions receive their arguments in registers 0 and 1.
 
 Every run goes through one step loop on a list of registers changed in place.
 It stops at once at a DECJZ r t with t its own position and register r zero:
-that step writes nothing and keeps pc, so each later step repeats it.  Such a
-fixed point can never halt, so run_trace returns Running as soon as it
-reaches one, and the dovetailer retires a program there as it retires a
-halted one.
+that step writes nothing and keeps pc, so each later step repeats it.  Every
+other step moves pc, so a one-step run that leaves pc where it was is at such
+a fixed point.  A fixed point can never halt, so run_trace returns Running as
+soon as it tries to step from one, and the dovetailer retires a program at its
+first step at the fixed point, as it retires a halted one.
 
 The module also provides the effective enumeration of halting computations
 from a fixed input, halting certificates with a total verifier, and the
@@ -181,7 +182,9 @@ def _execute(code: tuple[Instruction, ...], pc: int, regs: list[int],
              budget: int) -> tuple[int, int]:
     """At most budget steps from pc, changing regs in place: (pc, steps taken).
 
-    pc >= len(code) means halted; a fixed point reports the whole budget spent.
+    pc >= len(code) means halted; a fixed point reports the whole budget spent
+    and keeps pc.  Every other step moves pc: INC and a nonzero DECJZ go to
+    pc + 1, a zero DECJZ to its target t != pc, HALT past the end.
     """
     end = len(code)
     for steps in range(budget):
@@ -207,14 +210,6 @@ def _execute(code: tuple[Instruction, ...], pc: int, regs: list[int],
     return pc, budget
 
 
-def _at_fixed_point(code: tuple[Instruction, ...], pc: int, regs: list[int]) -> bool:
-    """At a DECJZ r t with t == pc and register r zero: every later step repeats it."""
-    if pc >= len(code):
-        return False
-    ins = code[pc]
-    return ins[0] == DECJZ and ins[2] == pc and not regs[ins[1]]
-
-
 def run(program: ToyProgram, value: int, step_budget: int,
         second: int | None = None) -> Halted | Running:
     """Deterministic small-step execution; Running means not halted in budget."""
@@ -231,15 +226,17 @@ def run_trace(program: ToyProgram, value: int, step_budget: int,
               second: int | None = None) -> tuple[Config, ...] | Running:
     """Full configuration trace from initial to halting configuration.
 
-    A fixed point can only end Running, so the trace stops there at once.
+    A fixed point can only end Running, so the trace stops at its first step
+    there: the one step that leaves pc unchanged.
     """
     code = program.instructions
     pc, regs = 0, _registers(program, value, second)
     trace = [(pc, tuple(regs))]
     while pc < len(code) and len(trace) <= step_budget:
-        if _at_fixed_point(code, pc, regs):
+        step_pc = _execute(code, pc, regs, 1)[0]
+        if step_pc == pc:
             return RUNNING
-        pc = _execute(code, pc, regs, 1)[0]
+        pc = step_pc
         trace.append((pc, tuple(regs)))
     return tuple(trace) if pc >= len(code) else RUNNING
 
@@ -272,8 +269,10 @@ def _halting_computations(x: int, cap: int) -> Iterator[tuple[int, ToyProgram, i
     """(e, P_e, s) for each pair (e, s) among the first cap pairs in dovetail
     order (e + s ascending, then e ascending) where P_e halts on x in exactly
     s steps.  Program e starts at pair (e, 0) and steps once per diagonal, so
-    at (e, s) it has run exactly s steps; it leaves at its halting pair, or
-    at a fixed point, from which none of its later pairs can yield."""
+    at (e, s) it has run exactly s steps.  It leaves at its halting pair, or
+    at its first step at a fixed point (the one step that leaves pc
+    unchanged), one diagonal after it reached the fixed point: none of its
+    later pairs can yield, and the cap cut is the same."""
     live: list[tuple[int, ToyProgram, list]] = []  # (e, P_e, [pc, registers])
     for diagonal in count():
         program = enumerate_programs(diagonal)
@@ -284,11 +283,11 @@ def _halting_computations(x: int, cap: int) -> Iterator[tuple[int, ToyProgram, i
             e, program, state = entry
             if first + e >= cap:  # every pair after this one sits later still
                 return
-            code = program.instructions
-            state[0], steps = _execute(code, state[0], state[1], 1)
+            pc, steps = _execute(program.instructions, state[0], state[1], 1)
             if not steps:
                 yield e, program, diagonal - e
-            elif not _at_fixed_point(code, state[0], state[1]):
+            elif pc != state[0]:
+                state[0] = pc
                 running.append(entry)
         live = running
 
@@ -423,8 +422,15 @@ class TableOracle:
                     if name in entry and type(entry[name]) is not int:
                         raise ValueError(f"oracle entry {key!r}: {name!r} must be an "
                                          f"integer, not {entry[name]!r}")
+                if entry["halts"] < 0:
+                    raise ValueError(f"oracle entry {key!r}: 'halts' must be a natural "
+                                     f"(a machine output), not {entry['halts']}")
                 halting[pair_key] = entry["halts"]
                 if "cert" in entry:
+                    if entry["cert"] < 1:
+                        raise ValueError(f"oracle entry {key!r}: 'cert' must be at least 1 "
+                                         f"(certificate positions start at 1), not "
+                                         f"{entry['cert']}")
                     certificates[pair_key] = entry["cert"]
             elif entry != "diverges":
                 raise ValueError(f"malformed oracle entry for {key!r}: {entry!r}")

@@ -10,7 +10,7 @@ and is deliberately capped to tiny instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
@@ -25,8 +25,6 @@ from .littlestone import ldim
 class SignificanceVerdict:
     significant: bool
     forced_prediction: int | None
-    engine: str
-    evidence: tuple = ()
 
 
 def _require_realizable(H: FiniteClass, sample: Sample) -> int:
@@ -36,14 +34,14 @@ def _require_realizable(H: FiniteClass, sample: Sample) -> int:
     return v
 
 
-def _step_dimensions(H: FiniteClass, v: int, steps) -> Iterator[tuple[tuple, bool]]:
-    """Per (x, y) of `steps` from version space v: the evidence (x, dim, one, zero),
-    dimensions of the version space and of its restrictions to x = 1 and x = 0,
-    and whether is_opt_significant's conditions hold there (a None label skips (2))."""
+def _step_dimensions(H: FiniteClass, v: int, steps) -> Iterator[tuple[int, int, int, bool]]:
+    """Per (x, y) of `steps` from version space v: the dimensions (dim, one, zero)
+    of the version space and of its restrictions to x = 1 and x = 0, and whether
+    is_opt_significant's conditions hold there (a None label skips (2))."""
     for x, y in steps:
         ones = v & H.version_space(((x, 1),))
         dim, one, zero = (H.ldim_of(u) for u in (v, ones, v ^ ones))
-        yield (x, dim, one, zero), dim == max(one, zero) and (
+        yield dim, one, zero, dim == max(one, zero) and (
             y is None or (one if y == 1 else zero) >= dim - 1)
         v = ones if y == 1 else v ^ ones
 
@@ -62,10 +60,9 @@ def is_aopt_significant(H: FiniteClass, sample: Sample, x: int) -> SignificanceV
     either prediction remains anytime optimal.
     """
     v = _require_realizable(H, sample)
-    (_, dim, one, zero), _ = next(_step_dimensions(H, v, [(x, None)]))
+    dim, one, zero, _ = next(_step_dimensions(H, v, [(x, None)]))
     significant = one != zero and max(one, zero) == dim
-    return SignificanceVerdict(significant, int(one >= zero) if significant else None,
-                               "closed-form", ((x, dim, one, zero),))
+    return SignificanceVerdict(significant, int(one >= zero) if significant else None)
 
 
 def is_opt_significant(H: FiniteClass, sample: Sample, x: int) -> SignificanceVerdict:
@@ -77,13 +74,10 @@ def is_opt_significant(H: FiniteClass, sample: Sample, x: int) -> SignificanceVe
     prediction is the dimension-maximizing label at the queried step.
     """
     _require_realizable(H, sample)
-    evidence = []
-    for step, holds in _step_dimensions(H, H.version_space(()), [*sample, (x, None)]):
-        evidence.append(step)
+    for _, one, zero, holds in _step_dimensions(H, H.version_space(()), [*sample, (x, None)]):
         if not holds:
-            return SignificanceVerdict(False, None, "closed-form", tuple(evidence))
-    _, _, one, zero = step
-    return SignificanceVerdict(True, int(one >= zero), "closed-form", tuple(evidence))
+            return SignificanceVerdict(False, None)
+    return SignificanceVerdict(True, int(one >= zero))
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +146,13 @@ def _pinned_values(H: FiniteClass, sample: Sample, pins: dict) -> list[int]:
     return values
 
 
+def _verdict(achievable: list[int]) -> SignificanceVerdict:
+    """Significant iff exactly one pinned prediction stays achievable."""
+    if len(achievable) == 1:
+        return SignificanceVerdict(True, achievable[0])
+    return SignificanceVerdict(False, None)
+
+
 def brute_force_opt_significant(H: FiniteClass, sample: Sample,
                                 x: int) -> SignificanceVerdict:
     """Significance from the definition: which pinned predictions at (S, x)
@@ -161,10 +162,7 @@ def brute_force_opt_significant(H: FiniteClass, sample: Sample,
     optimum = optimal_mistake_bound(H)
     achievable = [r for r in (0, 1)
                   if _pinned_values(H, sample, {len(sample): (x, r)})[0] <= optimum]
-    if len(achievable) == 1:
-        return SignificanceVerdict(True, achievable[0], "brute-force",
-                                   (tuple(achievable),))
-    return SignificanceVerdict(False, None, "brute-force", (tuple(achievable),))
+    return _verdict(achievable)
 
 
 def brute_force_aopt_significant(H: FiniteClass, sample: Sample,
@@ -179,10 +177,7 @@ def brute_force_aopt_significant(H: FiniteClass, sample: Sample,
         values = _pinned_values(H, sample, {len(sample): (x, r)})
         if all(value <= dim for value, dim in zip(values, dims)):
             achievable.append(r)
-    if len(achievable) == 1:
-        return SignificanceVerdict(True, achievable[0], "brute-force",
-                                   (tuple(achievable),))
-    return SignificanceVerdict(False, None, "brute-force", (tuple(achievable),))
+    return _verdict(achievable)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +212,7 @@ class EquivalenceReport:
 
 def condition_a_holds(H: FiniteClass, sample: Sample) -> bool:
     """Per-step dimension conditions over the witnessed history."""
-    return all(holds for _, holds in _step_dimensions(H, H.version_space(()), sample))
+    return all(holds for *_, holds in _step_dimensions(H, H.version_space(()), sample))
 
 
 def check_condition_equivalence(H: FiniteClass, sample: Sample) -> EquivalenceReport:

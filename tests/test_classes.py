@@ -38,18 +38,24 @@ def test_finite_class_validation():
         FiniteClass(-1, frozenset())
 
 
-def test_row_strings_round_trip():
-    H = FiniteClass.from_strings(["101", "010"])
+def test_row_strings_round_trip(tmp_path):
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps({"domain_size": 3, "hypotheses": ["101", "010"]}))
+    H = from_file(str(path))
     assert H.domain_size == 3
     assert sorted(H.row_string(r) for r in H.rows) == ["010", "101"]
-    assert FiniteClass.from_strings([]) == FiniteClass(0, frozenset())
+    to_file(FiniteClass(0, frozenset()), str(path))
+    assert from_file(str(path)) == FiniteClass(0, frozenset())
 
 
-def test_from_strings_rejects_ragged_or_nonbinary():
-    with pytest.raises(ClassFileError):
-        FiniteClass.from_strings(["10", "1"])
-    with pytest.raises(ClassFileError):
-        FiniteClass.from_strings(["1x"])
+def test_from_strings_rejects_ragged_or_nonbinary(tmp_path):
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps({"domain_size": 2, "hypotheses": ["10", "1"]}))
+    with pytest.raises(ClassFileError, match="entry 2"):
+        from_file(str(path))
+    path.write_text(json.dumps({"domain_size": 2, "hypotheses": ["10", "1x"]}))
+    with pytest.raises(ClassFileError, match="entry 2"):
+        from_file(str(path))
 
 
 def test_from_hypotheses_deduplicates():

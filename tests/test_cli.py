@@ -3,7 +3,7 @@ import json
 import pytest
 
 from littlelab import cli
-from littlelab.classes import from_file, hd_prime, singletons, to_file
+from littlelab.classes import FiniteClass, from_file, hd_prime, singletons, to_file
 from littlelab.core import Sample
 from littlelab.machine import HaltsAnswer
 
@@ -107,6 +107,23 @@ def test_oracle_file_with_a_non_integer_value_exit_code(capsys, tmp_path, entry)
     code, _, err = run_cli(capsys, "demo-rer-halt", "--oracle", str(path))
     assert code == 1
     assert "'0,0'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", [{"halts": 1, "cert": -1}, {"halts": 1, "cert": 0},
+                                   {"halts": -1}])
+def test_oracle_file_with_an_out_of_range_value_exit_code(capsys, tmp_path, entry):
+    # The built-in table, with one entry whose certificate position is below
+    # 1 (positions start at 1) or whose output is negative (outputs are
+    # naturals).  Unchecked, a cert of -1 reaches the demo as 3 ** -1, a
+    # float, and a cert of 0 fails its property check (exit 2).
+    table = cli.default_table_oracle().halting
+    raw = {f"{e},{x}": {"halts": value} for (e, x), value in table.items()}
+    raw["1,1"] = entry
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "demo-dr-ext", "--oracle", str(path))
+    assert code == 1
+    assert out == "" and "'1,1'" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("key", ["0,0,0", "a,0", "5"])
@@ -238,10 +255,16 @@ def test_duel_reports_bound_and_witness(capsys):
     assert report["optimal_bound"] == "2"
 
 
-def test_fallback_learner_requires_matching_class(capsys):
+def test_fallback_learner_requires_matching_class(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "duel", "--builder", "singletons",
                          "--n", "4", "--learner", "fallback")
     assert code == 1
+    # Domain size 0 gives d = 0, for which no threshold class exists.
+    path = tmp_path / "empty.json"
+    to_file(FiniteClass(0, frozenset()), str(path))
+    code, _, err = run_cli(capsys, "duel", "--file", str(path), "--learner", "fallback")
+    assert code == 1
+    assert "fallback learner requires the hd-prime builder" in err
 
 
 def test_demo_hdprime(capsys):

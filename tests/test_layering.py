@@ -1,4 +1,5 @@
-"""Each module of the package uses only the public names of its siblings.
+"""Each module of the package uses only the public names of its siblings,
+and imports nothing from outside the package but the standard library.
 
 A leading underscore marks a name as private to its module, so no other
 module of the package may import it (``from .game import _name``) or call it
@@ -6,6 +7,7 @@ through the module (``game._name(...)``).
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import littlelab
@@ -51,4 +53,27 @@ def private_uses(path: Path) -> list[str]:
 
 def test_modules_use_only_public_names_of_their_siblings():
     found = [use for path in sorted(PACKAGE.glob("*.py")) for use in private_uses(path)]
+    assert not found, "\n".join(found)
+
+
+def outside_imports(path: Path) -> list[str]:
+    """Imports of path that come neither from the package nor from the
+    standard library."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and _source_module(node) is None:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top != "littlelab" and top not in sys.stdlib_module_names:
+                found.append(f"{path.name}:{node.lineno} imports {name}")
+    return found
+
+
+def test_modules_import_only_the_package_and_the_standard_library():
+    found = [use for path in sorted(PACKAGE.glob("*.py")) for use in outside_imports(path)]
     assert not found, "\n".join(found)

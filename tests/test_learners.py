@@ -2,10 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from littlelab import kernels
+from littlelab.cli import default_table_oracle
 from littlelab.budget import FuelExhaustedError
 from littlelab.classes import (EnumerableClass, FiniteClass, constrain,
                                hd_prime, singletons, thresholds)
 from littlelab.core import Sample
+from littlelab.families import (IndexedClass, extended_block_supports,
+                                triple_block_family, two_tier_block_supports)
 from littlelab.game import (Horizon, is_anytime_optimal, mistake_bound,
                             mistakes_on_sample)
 from littlelab.learners import (b_extended_blocks, b_triple_blocks,
@@ -268,3 +271,64 @@ def test_relabeled_translates_instances():
     # learner on the translated history.
     base = sol(FiniteClass(31, frozenset(1 << n for n in naturals)))
     assert learner.predict(sample, 1) == base.predict(translated, 20)
+
+
+# ---------------------------------------------------------------------------
+# Learner keys are congruences
+
+def _key_violations(learner, H: FiniteClass, depth: int) -> list:
+    """Group the (state, v) pairs reachable in at most `depth` realizable
+    steps by (key, v).  The explorer's memo on (key, v, rounds) and its skip
+    rule are exact only if the pairs of one group predict alike on every
+    instance and keep equal child keys after every feasible (x, y)."""
+    groups: dict = {}
+    frontier = [(learner.init, H.version_space(()))]
+    for level in range(depth + 1):
+        children = []
+        for state, v in frontier:
+            groups.setdefault((learner.key(state), v), {})[state] = None
+            if level == depth:
+                continue
+            for x in H.domain():
+                ones = v & H.columns[x]
+                for y, sub in ((0, v ^ ones), (1, ones)):
+                    if sub:
+                        children.append((learner.update(state, x, y), sub))
+        frontier = children
+    violations = []
+    for (key, v), states in groups.items():
+        first, *rest = states
+        for state in rest:
+            for x in H.domain():
+                if learner.decide(state, x) != learner.decide(first, x):
+                    violations.append((key, v, x, "decide"))
+                ones = v & H.columns[x]
+                for y, sub in ((0, v ^ ones), (1, ones)):
+                    if sub and (learner.key(learner.update(state, x, y))
+                                != learner.key(learner.update(first, x, y))):
+                        violations.append((key, v, x, y))
+    return violations
+
+
+def _congruence_cases():
+    H = hd_prime(3)
+    yield pytest.param(sol(H), H, id="sol")
+    for bit in (0, 1):
+        yield pytest.param(constant_learner(bit), H, id=f"const{bit}")
+    yield pytest.param(conservative_learner(), H, id="conservative")
+    yield pytest.param(threshold_fallback_learner(H, thresholds(3).rows), H,
+                       id="fallback")
+    oracle = default_table_oracle()
+    yield pytest.param(b_triple_blocks(), triple_block_family(oracle, 4).truncation(12),
+                       id="b_triple_blocks")
+    for supports, block_learner in ((two_tier_block_supports, b_two_tier_blocks),
+                                    (extended_block_supports, b_extended_blocks)):
+        indexed = IndexedClass.from_supports(supports(oracle, range(4)))
+        yield pytest.param(relabeled(block_learner(oracle), indexed.to_natural),
+                           indexed.finite, id=block_learner.__name__)
+
+
+@pytest.mark.parametrize("learner, H", _congruence_cases())
+def test_learner_keys_are_congruences(learner, H):
+    violations = _key_violations(learner, H, 3)
+    assert not violations, f"{len(violations)} violations, first {violations[:3]}"
