@@ -64,8 +64,8 @@ MAX_ROWS = 128
 MAX_HORIZON = 500
 
 # The largest d `demo-hdprime --d` accepts: its exhaustive games take about
-# 0.7 s at d = 4 and 14 s at d = 5.
-MAX_HDPRIME_D = 5
+# 0.2 s at d = 4, 0.8 s at d = 5 and 5 s at d = 6 in a fresh process.
+MAX_HDPRIME_D = 6
 
 
 def build_class(args) -> FiniteClass:
@@ -104,9 +104,11 @@ def build_learner(name: str, H: FiniteClass):
         return learners.constant_learner(int(name[-1]))
     if name == "fallback":
         # Only meaningful for the extended threshold family: sol plus the
-        # predict-0 deviation on unseen extra instances.
+        # predict-0 deviation on unseen extra instances.  A class of fewer
+        # than 2^d rows cannot contain thresholds(d), so it is refused before
+        # those rows are built.
         d = (H.domain_size + 1).bit_length() - 1
-        if d < 1 or not (threshold_rows := thresholds(d).rows) <= H.rows:
+        if d < 1 or len(H) < 1 << d or not (threshold_rows := thresholds(d).rows) <= H.rows:
             raise UsageError("fallback learner requires the hd-prime builder")
         return learners.threshold_fallback_learner(H, threshold_rows)
     if name.startswith("toy:"):
@@ -193,7 +195,7 @@ def cmd_demo_hdprime(args) -> list[tuple[str, object]]:
         raise UsageError("the gap needs at least two extra instances (d >= 3)")
     if d > MAX_HDPRIME_D:
         raise UsageError(f"--d {d} is above the cap of {MAX_HDPRIME_D}: the exhaustive "
-                         f"games take about 14 s at d = 5 and grow steeply with d")
+                         f"games take about 5 s at d = 6 and grow steeply with d")
     H = hd_prime(d)
     extra = classes.hd_prime_extra_instances(d)
     learner_a = learners.threshold_fallback_learner(H, thresholds(d).rows)

@@ -9,6 +9,14 @@ state and the version-space bitset of the history, and memoises on
 leaves the learner's key unchanged: equal keys predict alike and the step
 only shrinks the version space, so every continuation after it is also open
 without it.
+
+Two more prunes stop at the horizon's own bound.  One round adds at most one
+mistake, so a node with r rounds left is worth at most r: it returns as soon
+as its best reaches r, and it does not try a correct step, which scores at
+most r - 1, once its best is r - 1 or more.  The best changes only on a
+strict improvement, so the first maximising step and its continuation are
+the ones the full loop keeps; both prunes leave every value, witness and
+written memo entry as they were, and only leave some entries unwritten.
 """
 
 from __future__ import annotations
@@ -75,7 +83,8 @@ class _Explorer:
             return 0, ()
         learner = self.learner
         key = learner.key(state)
-        cached = self.memo.get((key, v, remaining))
+        memo_key = (key, v, remaining)
+        cached = self.memo.get(memo_key)
         if cached is not None:
             return cached
         best, best_continuation = 0, ()
@@ -85,14 +94,21 @@ class _Explorer:
             for y, sub in ((0, v ^ ones), (1, ones)):
                 if not sub:
                     continue
+                correct = prediction == y
+                # A correct step scores at most remaining - 1.
+                if correct and best >= remaining - 1:
+                    continue
                 child = learner.update(state, x, y)
-                if prediction == y and learner.key(child) == key:
+                if correct and learner.key(child) == key:
                     continue
                 sub_value, sub_cont = self._explore(child, sub, remaining - 1)
-                value = int(prediction != y) + sub_value
+                value = int(not correct) + sub_value
                 if value > best:
                     best, best_continuation = value, ((x, y),) + sub_cont
-        self.memo[(key, v, remaining)] = (best, best_continuation)
+                    if best == remaining:  # no step can score more
+                        self.memo[memo_key] = best, best_continuation
+                        return best, best_continuation
+        self.memo[memo_key] = best, best_continuation
         return best, best_continuation
 
 

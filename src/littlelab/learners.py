@@ -121,6 +121,9 @@ def threshold_fallback_learner(H: FiniteClass, fallback_rows: frozenset[int]) ->
     every such prefix optimally.
 
     The state is (only extra positives so far, extras seen, sol's state).
+    Once the flag is False it never turns back on and `decide` reads only
+    sol's state, so the key drops to that bitset; a tuple key and an int key
+    never compare equal.
     """
     inner = sol(H)
     domain_mask = (1 << H.domain_size) - 1
@@ -145,7 +148,7 @@ def threshold_fallback_learner(H: FiniteClass, fallback_rows: frozenset[int]) ->
         return inner.decide(v, x)
 
     return Learner("threshold-fallback", (True, frozenset(), inner.init),
-                   update, decide)
+                   update, decide, key=lambda state: state if state[0] else state[2])
 
 
 # ---------------------------------------------------------------------------

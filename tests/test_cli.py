@@ -267,6 +267,18 @@ def test_fallback_learner_requires_matching_class(capsys, tmp_path):
     assert "fallback learner requires the hd-prime builder" in err
 
 
+def test_fallback_learner_refuses_a_small_class_before_building_thresholds(
+        capsys, tmp_path, monkeypatch):
+    # One row over domain 65,535 (d = 16) cannot hold the 65,536 threshold
+    # rows; building them first took about 2 s and 294 MiB of peak RSS.
+    monkeypatch.setattr(cli, "thresholds", lambda d: pytest.fail("thresholds built"))
+    path = tmp_path / "wide.json"
+    to_file(FiniteClass(65_535, frozenset({1})), str(path))
+    code, out, err = run_cli(capsys, "duel", "--file", str(path), "--learner", "fallback")
+    assert code == 1 and out == ""
+    assert "fallback learner requires the hd-prime builder" in err
+
+
 def test_demo_hdprime(capsys):
     code, out, _ = run_cli(capsys, "demo-hdprime", "--d", "3")
     assert code == 0

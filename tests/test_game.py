@@ -1,10 +1,14 @@
+import dataclasses
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from littlelab.classes import (FiniteClass, hd_prime, restrict, singletons,
                                thresholds)
 from littlelab.core import Sample
 from littlelab.errors import NotRealizableError
+from littlelab import game
 from littlelab.game import (Horizon, is_anytime_optimal, is_optimal,
                             mistake_bound, mistakes_on_sample,
                             optimal_mistake_bound, optimal_post_sample_bound,
@@ -13,6 +17,7 @@ from littlelab.learners import (conservative_learner, constant_learner, sol,
                                 threshold_fallback_learner)
 from littlelab.littlestone import ldim
 from conftest import seeded_classes
+from reference_game import ReferenceExplorer
 
 
 def test_horizon_validation():
@@ -125,7 +130,7 @@ def test_realizable_samples_build_no_level_past_the_last(monkeypatch):
 
 
 @st.composite
-def learners_on_classes(draw):
+def learners_on_classes(draw, max_horizon=3):
     domain = draw(st.integers(min_value=1, max_value=4))
     rows = draw(st.frozensets(st.integers(min_value=0, max_value=(1 << domain) - 1),
                               min_size=1, max_size=8))
@@ -139,7 +144,7 @@ def learners_on_classes(draw):
         learner = threshold_fallback_learner(H, draw(st.frozensets(st.sampled_from(sorted(rows)))))
     else:
         learner = constant_learner(int(kind[-1]))
-    return learner, H, draw(st.integers(min_value=1, max_value=3))
+    return learner, H, draw(st.integers(min_value=1, max_value=max_horizon))
 
 
 @settings(max_examples=150, deadline=None)
@@ -151,3 +156,48 @@ def test_mistake_bound_is_the_worst_realizable_sample(case):
     worst = max(mistakes_on_sample(learner, sample)
                 for sample in realizable_samples(H, t))
     assert mistake_bound(learner, H, Horizon(t)).value == worst
+
+
+@settings(max_examples=200, deadline=None)
+@given(learners_on_classes(max_horizon=5))
+def test_horizon_prunes_match_the_reference_explorer(case):
+    # Each learner keeps its own key; only the bound prunes differ.
+    learner, H, t = case
+    value, continuation = ReferenceExplorer(learner, H, Horizon(t)).future_mistakes(Sample())
+    bound = mistake_bound(learner, H, Horizon(t))
+    assert (bound.value, bound.witness) == (value, Sample.of(*continuation))
+    with mock.patch.object(game, "_Explorer", ReferenceExplorer):
+        reference = is_optimal(learner, H, Horizon(t))
+    assert is_optimal(learner, H, Horizon(t)) == reference
+
+
+_HD_PRIME_4 = hd_prime(4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(learners_on_classes(max_horizon=5))
+@example((threshold_fallback_learner(_HD_PRIME_4, thresholds(4).rows), _HD_PRIME_4, 5))
+def test_fallback_key_keeps_the_values_of_the_whole_state_key(case):
+    # Under the coarser key a correct step that only changes `seen` after the
+    # flag drops is skipped, so the witness may be shorter; the value is not.
+    learner, H, t = case
+    whole_state = dataclasses.replace(learner, key=lambda state: state)
+    assert (mistake_bound(learner, H, Horizon(t)).value
+            == mistake_bound(whole_state, H, Horizon(t)).value)
+
+
+@pytest.mark.parametrize("learner, H, t, reference_entries, entries", [
+    pytest.param(threshold_fallback_learner(_HD_PRIME_4, thresholds(4).rows),
+                 _HD_PRIME_4, 10, 6_904, 1_010, id="fallback-hd_prime4"),
+    pytest.param(constant_learner(1), singletons(3), 500, 2_992, 500,
+                 id="const1-singletons3"),
+])
+def test_explorer_stops_at_the_horizon_bound(learner, H, t, reference_entries, entries):
+    # `reference_entries` is what the explorer wrote before the bound prunes
+    # and the fallback learner's congruence key.
+    whole_state = dataclasses.replace(learner, key=lambda state: state)
+    reference = ReferenceExplorer(whole_state, H, Horizon(t))
+    explorer = game._Explorer(learner, H, Horizon(t))
+    assert explorer.future_mistakes(Sample())[0] == reference.future_mistakes(Sample())[0]
+    assert len(reference.memo) == reference_entries
+    assert len(explorer.memo) <= entries

@@ -23,7 +23,9 @@ sol through version spaces whose one side is empty.  The last two
 sol read columns directly, the class memos answered one-row spaces and hits
 without the kernel, and the ldim kernel stopped at a side of dimension 0:
 they drive sol and the fallback learner through every split of hd_prime(4)
-and sol through singletons(64), whose ldim chain the last rule cuts.
+and sol through singletons(64), whose ldim chain the last rule cuts.  The
+last one (``demo-hdprime-d5``) was captured before the game explorer stopped
+at the horizon's bound and the fallback learner's key dropped its seen set.
 """
 
 import json

@@ -318,6 +318,8 @@ def _congruence_cases():
     yield pytest.param(conservative_learner(), H, id="conservative")
     yield pytest.param(threshold_fallback_learner(H, thresholds(3).rows), H,
                        id="fallback")
+    yield pytest.param(threshold_fallback_learner(hd_prime(4), thresholds(4).rows),
+                       hd_prime(4), id="fallback-hd_prime4")
     oracle = default_table_oracle()
     yield pytest.param(b_triple_blocks(), triple_block_family(oracle, 4).truncation(12),
                        id="b_triple_blocks")
