@@ -29,6 +29,14 @@ ascending and then e ascending.  It keeps one live configuration per program:
 program e joins at diagonal e and steps once per later diagonal, so no pair
 re-runs its program from step 0.  Its cap (search_cap, budget, a
 MachineOracle's dovetail_budget) counts dovetail pairs, not machine steps.
+
+The walk from each input is kept between calls (the few most recently used
+inputs): its halting computations found so far, with their positions, and its
+live configurations, paused at the first pair it has not visited.  Neither
+the order nor a program's steps depend on the cap, so a call reads the kept
+finds below its cap and walks on only while it needs more and the next pair
+is below its cap; a walk never visits a pair at or past the largest cap it
+was given.  A walk interrupted by an exception starts again cold.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import count
 from typing import Iterator, Mapping
 
@@ -265,31 +274,98 @@ class HaltingCertificate:
         return len(self.trace) - 1
 
 
+class _Walk:
+    """The dovetail walk from input x, paused at its first unvisited pair.
+
+    found holds (position, e, P_e, s) for each halting computation met so far,
+    in dovetail order.  The walk is on diagonal `diagonal`: live[index:] are
+    its configurations not yet stepped there, running those already stepped
+    and kept for the next diagonal.
+    """
+
+    def __init__(self, x: int):
+        self.x = x
+        self._reset()
+
+    def _reset(self) -> None:
+        program = enumerate_programs(0)
+        self.found: list[tuple[int, int, ToyProgram, int]] = []
+        self.diagonal, self.index = 0, 0
+        # (e, P_e, [pc, registers]) per live program, e ascending
+        self.live = [(0, program, [0, _registers(program, self.x)])]
+        self.running: list[tuple[int, ToyProgram, list]] = []
+
+    def _advance(self, cap: int) -> bool:
+        """Walk on to the next halting computation (True) or stop at the first
+        live pair at or past cap (False), visiting no pair at or past cap.
+
+        Program e joins at pair (e, 0) and steps once per diagonal, so at
+        (e, s) it has run exactly s steps.  It leaves at its halting pair, or
+        at its first step at a fixed point (the one step that leaves pc
+        unchanged), one diagonal after it reached the fixed point: none of
+        its later pairs can yield, and the cap cut is the same.
+        """
+        diagonal, live, index, running = self.diagonal, self.live, self.index, self.running
+        first = diagonal * (diagonal + 1) // 2  # position of the pair (0, diagonal)
+        try:
+            while True:
+                if index == len(live):
+                    diagonal += 1
+                    first += diagonal
+                    program = enumerate_programs(diagonal)
+                    running.append((diagonal, program, [0, _registers(program, self.x)]))
+                    live, index, running = running, 0, []
+                entry = live[index]
+                e, program, state = entry
+                if first + e >= cap:  # every pair after this one sits later still
+                    halted = False
+                    break
+                pc, steps = _execute(program.instructions, state[0], state[1], 1)
+                index += 1
+                if not steps:
+                    self.found.append((first + e, e, program, diagonal - e))
+                    halted = True
+                    break
+                if pc != state[0]:
+                    state[0] = pc
+                    running.append(entry)
+            self.diagonal, self.live, self.index, self.running = diagonal, live, index, running
+        except BaseException:
+            # A step cut short may have changed a register but not pc; the
+            # walk is deterministic, so a cold restart finds the same entries.
+            self._reset()
+            raise
+        return halted
+
+
+# Walks kept between calls, least recently used first out.  Callers ask about
+# a handful of inputs (the certificate families use x = 0 and x = e for a few
+# programs e), and each walk holds at most one entry per program it has
+# joined, about sqrt(2 * cap) of them: under 1 MiB for a walk taken to
+# 2,000,000 pairs, ten times MachineOracle's default dovetail budget.
+_WALKS_KEPT = 16
+
+
+@lru_cache(maxsize=_WALKS_KEPT)
+def _walk(x: int) -> _Walk:
+    return _Walk(x)
+
+
 def _halting_computations(x: int, cap: int) -> Iterator[tuple[int, ToyProgram, int]]:
     """(e, P_e, s) for each pair (e, s) among the first cap pairs in dovetail
     order (e + s ascending, then e ascending) where P_e halts on x in exactly
-    s steps.  Program e starts at pair (e, 0) and steps once per diagonal, so
-    at (e, s) it has run exactly s steps.  It leaves at its halting pair, or
-    at its first step at a fixed point (the one step that leaves pc
-    unchanged), one diagonal after it reached the fixed point: none of its
-    later pairs can yield, and the cap cut is the same."""
-    live: list[tuple[int, ToyProgram, list]] = []  # (e, P_e, [pc, registers])
-    for diagonal in count():
-        program = enumerate_programs(diagonal)
-        live.append((diagonal, program, [0, _registers(program, x)]))
-        first = diagonal * (diagonal + 1) // 2  # position of the pair (0, diagonal)
-        running: list[tuple[int, ToyProgram, list]] = []
-        for entry in live:
-            e, program, state = entry
-            if first + e >= cap:  # every pair after this one sits later still
+    s steps.  The order and each program's steps do not depend on cap, so
+    these are the entries of x's kept walk at positions below cap; the walk
+    goes on only as far as the caller reads, one find at a time."""
+    walk = _walk(x)
+    for i in count():
+        while i >= len(walk.found):
+            if not walk._advance(cap):
                 return
-            pc, steps = _execute(program.instructions, state[0], state[1], 1)
-            if not steps:
-                yield e, program, diagonal - e
-            elif pc != state[0]:
-                state[0] = pc
-                running.append(entry)
-        live = running
+        position, e, program, s = walk.found[i]
+        if position >= cap:
+            return
+        yield e, program, s
 
 
 def enumerate_halting_computations(x: int, i: int, *, search_cap: int = 500_000) -> HaltingCertificate:

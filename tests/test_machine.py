@@ -1,8 +1,13 @@
+import gc
 import json
 import time
+import weakref
+from collections import Counter
+from functools import cache
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_machine as reference
 from littlelab import machine
@@ -211,9 +216,119 @@ def test_dovetailer_retires_programs_at_a_fixed_point(monkeypatch):
         calls += 1
         return execute(*args)
 
+    machine._walk.cache_clear()  # a walk kept warm by an earlier call would step nothing
     monkeypatch.setattr(machine, "_execute", counting)
     assert certificate_index(122, 0, 2_000_000) is not None
     assert calls <= 500
+
+
+# In the cold walk from 3 the 50th step is the first after a find, and the
+# 56th follows three steps that resuming from that find would repeat.
+@pytest.mark.parametrize("interrupted", [50, 56])
+def test_an_interrupted_walk_restarts_cold(monkeypatch, interrupted):
+    calls = 0
+    execute = machine._execute
+
+    def interrupting(*args):
+        nonlocal calls
+        calls += 1
+        if calls == interrupted:
+            raise KeyboardInterrupt
+        return execute(*args)
+
+    machine._walk.cache_clear()
+    monkeypatch.setattr(machine, "_execute", interrupting)
+    with pytest.raises(KeyboardInterrupt):
+        certificate_index(122, 3, 2_000_000)
+    assert calls == interrupted
+    assert certificate_index(122, 3, 2_000_000) == reference.certificate_index(122, 3, 2_000_000)
+    assert (enumerate_halting_computations(3, 30)
+            == reference.enumerate_halting_computations(3, 30))
+
+
+@cache
+def _reference_enumeration(x, i, cap):
+    """The reference's i-th computation from x, or its error message."""
+    try:
+        return reference.enumerate_halting_computations(x, i, search_cap=cap)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@cache
+def _reference_index(e, x, cap):
+    return reference.certificate_index(e, x, cap)
+
+
+def _message(call):
+    try:
+        return call()
+    except FuelExhaustedError as exc:
+        return str(exc)
+
+
+# (kind, x, cap, i, j): e is the program of the j-th computation from x, or of
+# the i-th when j is 0, so that p_cert also meets its own certificate.
+WALK_CALLS = st.tuples(st.sampled_from(("certificate_index", "enumerate", "p_cert")),
+                       st.integers(0, 3),
+                       st.sampled_from((0, 1, 2, 3, 7, 50, 500, 5000, 500_000)),
+                       st.integers(1, 30), st.just(0) | st.integers(1, 30))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(WALK_CALLS, min_size=1, max_size=12))
+@example([("enumerate", 0, 7, 1, 0), ("enumerate", 0, 0, 1, 0)])  # a kept find at the cap
+def test_kept_walks_answer_like_cold_walks_in_any_order(calls):
+    visited: Counter = Counter()  # pairs stepped by the walk from each input
+    walking = []  # the input of the walk now advancing, if any
+    execute, advance = machine._execute, machine._Walk._advance
+
+    def counting(*args):
+        if walking:
+            visited[walking[-1]] += 1
+        return execute(*args)
+
+    def advancing(walk, cap):
+        walking.append(walk.x)
+        try:
+            return advance(walk, cap)
+        finally:
+            walking.pop()
+
+    largest: Counter = Counter()
+    machine._walk.cache_clear()
+    with mock.patch.object(machine, "_execute", counting), \
+            mock.patch.object(machine._Walk, "_advance", advancing):
+        for kind, x, cap, i, j in calls:
+            e = _reference_enumeration(x, j or i, 500_000).program_index
+            if kind == "certificate_index":
+                assert certificate_index(e, x, cap) == _reference_index(e, x, cap)
+            elif kind == "enumerate":
+                found = _message(lambda: enumerate_halting_computations(x, i, search_cap=cap))
+                assert found == _reference_enumeration(x, i, cap)
+            else:
+                expected = _reference_enumeration(x, i, cap)
+                if not isinstance(expected, str):
+                    expected = int(expected.program_index == e)
+                assert _message(lambda: p_cert(e, i, x, search_cap=cap)) == expected
+            largest[x] = max(largest[x], cap)
+            assert visited[x] <= largest[x], (x, visited[x], largest[x])
+
+
+def test_kept_walks_are_bounded():
+    machine._walk.cache_clear()
+    walks = []
+    for x in range(machine._WALKS_KEPT + 4):
+        assert certificate_index(CONST0_INDEX, x, 5_000) is not None
+        walks.append(weakref.ref(machine._walk(x)))
+    gc.collect()
+    assert sum(walk() is not None for walk in walks) == machine._WALKS_KEPT
+    # Each kept walk is bounded as an uncached call at its largest cap is.
+    # Both join the same programs, one per diagonal reached, about
+    # sqrt(2 * cap) of them.  At its end the uncached call holds the live
+    # configuration of each program still running; the kept walk holds those
+    # same configurations, plus a (position, e, P_e, s) tuple in place of each
+    # configuration the uncached call dropped when its program halted.
 
 
 # ---------------------------------------------------------------------------
