@@ -8,8 +8,7 @@ exact-rational online-to-batch conversion.
 
 from .budget import FuelExhaustedError, FuelTank
 from .classes import (EnumerableClass, FiniteClass, Hypothesis, Tristate,
-                      constrain, empirical_loss, hd_prime, is_realizable,
-                      restrict, singletons, thresholds)
+                      empirical_loss, hd_prime, singletons, thresholds)
 from .core import (LabeledInstance, NotInRangeError, Sample, canonical_index,
                    decode_canonical, decode_sample, decode_sequence,
                    encode_sample, encode_sequence)
@@ -17,7 +16,7 @@ from .errors import InstanceTooLargeError, NotRealizableError, PropertyViolation
 from .game import (GameValue, Horizon, Verdict, is_anytime_optimal, is_optimal,
                    mistake_bound, mistakes_on_sample, optimal_mistake_bound,
                    optimal_post_sample_bound, post_sample_mistake_bound)
-from .littlestone import (FUEL_EXHAUSTED, ShatteredTree, enumerate_shattered_trees,
+from .littlestone import (ShatteredTree, enumerate_shattered_trees,
                           find_shattered_tree, ldim, max_witness_depth,
                           verify_shattered_tree)
 

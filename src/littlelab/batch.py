@@ -107,6 +107,8 @@ class FiniteDistribution:
     @staticmethod
     def uniform_over(items: Iterable[tuple[int, int]]) -> "FiniteDistribution":
         items = list(items)
+        if not items:
+            raise ValueError("a uniform distribution needs at least one item")
         weight = Fraction(1, len(items))
         return FiniteDistribution.of({item: weight for item in items})
 

@@ -134,10 +134,6 @@ class FiniteClass:
         return "".join(str((row >> x) & 1) for x in range(self.domain_size))
 
     @staticmethod
-    def from_rows(domain_size: int, rows: Iterable[int]) -> "FiniteClass":
-        return FiniteClass(domain_size, frozenset(rows))
-
-    @staticmethod
     def from_hypotheses(domain_size: int, hypotheses: Iterable[Hypothesis]) -> "FiniteClass":
         rows = set()
         for h in hypotheses:
@@ -146,26 +142,13 @@ class FiniteClass:
 
 
 # ---------------------------------------------------------------------------
-# Restriction, loss, realizability
-
-def constrain(H: FiniteClass, x: int, y: int) -> FiniteClass:
-    """Sub-class of exactly the hypotheses with h(x) = y."""
-    return H.restricted_to(H.version_space(((x, y),)))
-
-
-def restrict(H: FiniteClass, sample: Sample) -> FiniteClass:
-    return H.restricted_to(H.version_space(sample))
-
+# Loss
 
 def empirical_loss(h: Hypothesis | int, sample: Sample) -> int:
     """Number of disagreements between a hypothesis (or row mask) and the sample."""
     if isinstance(h, int):
         return sum(1 for x, y in sample if (h >> x) & 1 != y)
     return sum(1 for x, y in sample if h(x) != y)
-
-
-def is_realizable(H: FiniteClass, sample: Sample) -> bool:
-    return bool(H.version_space(sample))
 
 
 # ---------------------------------------------------------------------------

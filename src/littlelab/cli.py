@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -23,8 +22,6 @@ from .errors import PropertyViolation
 from .game import Horizon
 from .littlestone import find_shattered_tree, ldim, max_witness_depth
 from .machine import HaltsAnswer, TableOracle
-
-ORACLE_ENV = "LITTLELAB_ORACLE"
 
 
 def default_table_oracle() -> TableOracle:
@@ -43,7 +40,6 @@ def default_table_oracle() -> TableOracle:
 
 
 def load_oracle(path: str | None) -> TableOracle:
-    path = path or os.environ.get(ORACLE_ENV)
     if path:
         return TableOracle.from_file(path)
     return default_table_oracle()
@@ -407,6 +403,8 @@ def cmd_convert(args) -> list[tuple[str, object]]:
 
 def cmd_pac_eval(args) -> list[tuple[str, object]]:
     H = build_class(args)
+    if not H:
+        raise UsageError("pac-eval needs a class with at least one row to draw the target from")
     learner = build_learner(args.learner, H)
     rng = random.Random(args.seed)
     target = rng.choice(sorted(H.rows))

@@ -54,18 +54,12 @@ class Sample:
             raise ValueError(f"prefix length {n} out of range for |S|={len(self.items)}")
         return Sample(self.items[:n])
 
-    def concat(self, other: "Sample") -> "Sample":
-        return Sample(self.items + other.items)
-
     def append(self, x: int, y: int) -> "Sample":
         return Sample(self.items + (LabeledInstance(x, y),))
 
     @staticmethod
     def of(*pairs: tuple[int, int]) -> "Sample":
         return Sample(tuple(LabeledInstance(x, y) for x, y in pairs))
-
-
-EMPTY_SAMPLE = Sample()
 
 
 def _primes(count: int) -> list[int]:

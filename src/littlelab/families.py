@@ -43,10 +43,6 @@ class IndexedClass:
     finite: FiniteClass
     naturals: tuple[int, ...]
 
-    @property
-    def domain_size(self) -> int:
-        return self.finite.domain_size
-
     def to_natural(self, i: int) -> int:
         return self.naturals[i]
 

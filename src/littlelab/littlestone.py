@@ -118,16 +118,6 @@ def max_witness_depth(H: FiniteClass) -> int:
 # ---------------------------------------------------------------------------
 # Dovetailing enumerator for enumerable classes
 
-class FuelExhausted:
-    """Sentinel outcome: the dovetailer ran out of fuel (not a certification)."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "FuelExhausted"
-
-
-FUEL_EXHAUSTED = FuelExhausted()
-
-
 def tree_enumerator(H: EnumerableClass, d: int) -> Iterator[ShatteredTree | None]:
     """Dovetailer over (hypothesis indices, instances, stages).
 
@@ -167,19 +157,16 @@ def tree_enumerator(H: EnumerableClass, d: int) -> Iterator[ShatteredTree | None
         stage += 1
 
 
-def enumerate_shattered_trees(H: EnumerableClass, d: int, fuel: int) -> ShatteredTree | FuelExhausted:
-    """First verified witness within fuel, else the fuel-exhausted outcome.
+def enumerate_shattered_trees(H: EnumerableClass, d: int, fuel: int) -> ShatteredTree:
+    """First verified witness within fuel; one unit of fuel per progress tick.
 
-    Only finite classes can certify absence; this operation never does.
+    Raises FuelExhaustedError when the fuel runs out first, and at d < 0,
+    where there is no witness to find.  Only finite classes can certify
+    absence; this operation never does.
     """
-    if fuel <= 0:
-        return FUEL_EXHAUSTED
     tank = FuelTank(fuel)
-    try:
-        for item in tree_enumerator(H, d):
-            if isinstance(item, ShatteredTree):
-                return item
-            tank.spend()
-    except FuelExhaustedError:
-        pass
-    return FUEL_EXHAUSTED
+    for item in tree_enumerator(H, d):
+        if isinstance(item, ShatteredTree):
+            return item
+        tank.spend()
+    raise FuelExhaustedError("no witness can be certified at negative depth")

@@ -30,23 +30,24 @@ program e joins at diagonal e and steps once per later diagonal, so no pair
 re-runs its program from step 0.  Its cap (search_cap, budget, a
 MachineOracle's dovetail_budget) counts dovetail pairs, not machine steps.
 
-The walk from each input is kept between calls (the few most recently used
-inputs): its halting computations found so far, with their positions, and its
-live configurations, paused at the first pair it has not visited.  Neither
-the order nor a program's steps depend on the cap, so a call reads the kept
-finds below its cap and walks on only while it needs more and the next pair
-is below its cap; a walk never visits a pair at or past the largest cap it
-was given.  A walk interrupted by an exception starts again cold.
+The walk from each input is a generator, kept paused between calls (for the
+few most recently used inputs) with the halting computations it has found so
+far and their positions.  Each send(cap) walks it on to its next find, or
+stops it before its first pair at or past cap.  Neither the order nor a
+program's steps depend on the cap, so a call reads the kept finds below its
+cap and sends only while it needs more; a walk never visits a pair at or past
+the largest cap it was given.  A walk interrupted by an exception starts
+again cold.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
-from typing import Iterator, Mapping
+from typing import Generator, Iterator, Mapping
 
 from .budget import FuelExhaustedError
 
@@ -274,68 +275,59 @@ class HaltingCertificate:
         return len(self.trace) - 1
 
 
+def _dovetail(x: int) -> Generator[tuple[int, int, ToyProgram, int] | None, int, None]:
+    """The dovetail walk from input x, driven by send(cap).
+
+    Each send(cap) walks on to the next halting computation and yields it as
+    (position, e, P_e, s), or yields None at the first live pair at or past
+    cap, without stepping it.  Program e joins at pair (e, 0) and steps once
+    per diagonal, so at (e, s) it has run exactly s steps.  It leaves at its
+    halting pair, or at its first step at a fixed point (the one step that
+    leaves pc unchanged), one diagonal after it reached the fixed point: none
+    of its later pairs can yield, and the cap cut is the same.
+    """
+    cap = 0  # visit nothing before the first send
+    diagonal = first = 0  # first: the position of the pair (0, diagonal)
+    program = enumerate_programs(0)
+    # (e, P_e, [pc, registers]) per live program, e ascending
+    live = [(0, program, [0, _registers(program, x)])]
+    while True:
+        running = []  # the programs stepped on this diagonal that go on
+        for entry in live:
+            e, program, state = entry
+            while first + e >= cap:  # every pair after this one sits later still
+                cap = yield None
+            pc, steps = _execute(program.instructions, state[0], state[1], 1)
+            if not steps:
+                cap = yield first + e, e, program, diagonal - e
+            elif pc != state[0]:
+                state[0] = pc
+                running.append(entry)
+        diagonal += 1
+        first += diagonal
+        program = enumerate_programs(diagonal)
+        running.append((diagonal, program, [0, _registers(program, x)]))
+        live = running
+
+
 class _Walk:
-    """The dovetail walk from input x, paused at its first unvisited pair.
+    """The dovetail walk from input x, kept paused between calls.
 
     found holds (position, e, P_e, s) for each halting computation met so far,
-    in dovetail order.  The walk is on diagonal `diagonal`: live[index:] are
-    its configurations not yet stepped there, running those already stepped
-    and kept for the next diagonal.
+    in dovetail order; steps is the walk paused at its first unvisited pair.
     """
 
     def __init__(self, x: int):
         self.x = x
-        self._reset()
+        self.restart()
 
-    def _reset(self) -> None:
-        program = enumerate_programs(0)
+    def restart(self) -> None:
+        """Start again cold.  An exception from a send ends the generator, and
+        a step cut short may have changed a register but not pc; the walk is
+        deterministic, so a cold restart finds the same entries."""
         self.found: list[tuple[int, int, ToyProgram, int]] = []
-        self.diagonal, self.index = 0, 0
-        # (e, P_e, [pc, registers]) per live program, e ascending
-        self.live = [(0, program, [0, _registers(program, self.x)])]
-        self.running: list[tuple[int, ToyProgram, list]] = []
-
-    def _advance(self, cap: int) -> bool:
-        """Walk on to the next halting computation (True) or stop at the first
-        live pair at or past cap (False), visiting no pair at or past cap.
-
-        Program e joins at pair (e, 0) and steps once per diagonal, so at
-        (e, s) it has run exactly s steps.  It leaves at its halting pair, or
-        at its first step at a fixed point (the one step that leaves pc
-        unchanged), one diagonal after it reached the fixed point: none of
-        its later pairs can yield, and the cap cut is the same.
-        """
-        diagonal, live, index, running = self.diagonal, self.live, self.index, self.running
-        first = diagonal * (diagonal + 1) // 2  # position of the pair (0, diagonal)
-        try:
-            while True:
-                if index == len(live):
-                    diagonal += 1
-                    first += diagonal
-                    program = enumerate_programs(diagonal)
-                    running.append((diagonal, program, [0, _registers(program, self.x)]))
-                    live, index, running = running, 0, []
-                entry = live[index]
-                e, program, state = entry
-                if first + e >= cap:  # every pair after this one sits later still
-                    halted = False
-                    break
-                pc, steps = _execute(program.instructions, state[0], state[1], 1)
-                index += 1
-                if not steps:
-                    self.found.append((first + e, e, program, diagonal - e))
-                    halted = True
-                    break
-                if pc != state[0]:
-                    state[0] = pc
-                    running.append(entry)
-            self.diagonal, self.live, self.index, self.running = diagonal, live, index, running
-        except BaseException:
-            # A step cut short may have changed a register but not pc; the
-            # walk is deterministic, so a cold restart finds the same entries.
-            self._reset()
-            raise
-        return halted
+        self.steps = _dovetail(self.x)
+        next(self.steps)
 
 
 # Walks kept between calls, least recently used first out.  Callers ask about
@@ -360,8 +352,14 @@ def _halting_computations(x: int, cap: int) -> Iterator[tuple[int, ToyProgram, i
     walk = _walk(x)
     for i in count():
         while i >= len(walk.found):
-            if not walk._advance(cap):
+            try:
+                find = walk.steps.send(cap)
+            except BaseException:
+                walk.restart()
+                raise
+            if find is None:
                 return
+            walk.found.append(find)
         position, e, program, s = walk.found[i]
         if position >= cap:
             return

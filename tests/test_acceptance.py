@@ -10,7 +10,7 @@ from itertools import product
 
 from littlelab.batch import (FiniteDistribution, distribution_error,
                              online_to_batch, pac_evaluate)
-from littlelab.classes import hd_prime, restrict, thresholds
+from littlelab.classes import hd_prime, thresholds
 from littlelab.core import (Sample, canonical_index, decode_sample,
                             decode_sequence, encode_sample, encode_sequence)
 from littlelab.families import (adversarial_family, diagonal_forcing_sample,
@@ -68,7 +68,7 @@ def test_criterion_03_post_sample_bounds_track_the_version_space():
         explorer = _Explorer(sol(H), H, horizon)
         for sample in realizable_samples(H, 3):
             optimum = optimal_post_sample_bound(H, sample)
-            assert optimum == ldim(restrict(H, sample))
+            assert optimum == ldim(H.restricted_to(H.version_space(sample)))
             achieved, _ = explorer.future_mistakes(sample)
             assert achieved == optimum, (H, sample.items)
     _ok(3, "post-history optima equal version-space dimensions (|S| <= 3, 20 classes)")

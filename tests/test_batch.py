@@ -7,7 +7,7 @@ from littlelab.batch import (FiniteDistribution, ProbabilisticHypothesis,
                              class_distribution_error, distribution_error,
                              expected_regret, find_unrealizable_labeling,
                              online_to_batch, pac_evaluate, point_loss)
-from littlelab.classes import FiniteClass, is_realizable, singletons, thresholds
+from littlelab.classes import FiniteClass, singletons, thresholds
 from littlelab.core import Sample
 from littlelab.learners import constant_learner, sol
 
@@ -87,6 +87,8 @@ def test_uniform_distribution_and_exact_error():
     assert distribution_error(all_ones, D) == Fraction(1, 2)
     perfect = lambda x: int(x == 0)
     assert distribution_error(perfect, D) == 0
+    with pytest.raises(ValueError, match="at least one item"):
+        FiniteDistribution.uniform_over([])
 
 
 def test_class_distribution_error_zero_on_realizable():
@@ -122,6 +124,6 @@ def test_find_unrealizable_labeling():
     H = singletons(2)
     labeling = find_unrealizable_labeling(H)
     assert labeling == Sample.of((0, 0), (1, 0))
-    assert not is_realizable(H, labeling)
+    assert not H.version_space(labeling)
     cube = FiniteClass(2, frozenset(range(4)))
     assert find_unrealizable_labeling(cube) is None

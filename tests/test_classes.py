@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from littlelab.classes import (ClassFileError, EnumerableClass, FiniteClass,
-                               Hypothesis, Tristate, constrain, empirical_loss,
-                               from_file, hd_prime, hd_prime_extra_instances,
-                               is_realizable, restrict, singletons, thresholds,
-                               to_file)
+                               Hypothesis, Tristate, empirical_loss, from_file,
+                               hd_prime, hd_prime_extra_instances, singletons,
+                               thresholds, to_file)
 from littlelab.core import Sample
 from conftest import seeded_classes
 
@@ -71,26 +70,28 @@ def test_constrain_partitions_the_class():
     rng = random.Random(11)
     for H in seeded_classes(3, 20):
         for x in H.domain():
-            ones = constrain(H, x, 1)
-            zeros = constrain(H, x, 0)
+            ones = H.restricted_to(H.version_space(((x, 1),)))
+            zeros = H.restricted_to(H.version_space(((x, 0),)))
             assert len(ones) + len(zeros) == len(H)
             assert ones.rows | zeros.rows == H.rows
             # Idempotence
-            assert constrain(ones, x, 1) == ones
+            assert ones.restricted_to(ones.version_space(((x, 1),))) == ones
 
 
 def test_constrain_validates_arguments():
     H = thresholds(2)
-    with pytest.raises(ValueError):
-        constrain(H, 4, 1)
-    with pytest.raises(ValueError):
-        constrain(H, 0, 2)
+    with pytest.raises(ValueError, match="^instance 4 outside domain of size 4$"):
+        H.version_space(((4, 1),))
+    with pytest.raises(ValueError, match="^label must be 0 or 1, got 2$"):
+        H.version_space(((0, 2),))
 
 
 def test_restrict_is_iterated_constrain():
     H = thresholds(2)
     s = Sample.of((0, 1), (2, 0))
-    assert restrict(H, s) == constrain(constrain(H, 0, 1), 2, 0)
+    first = H.restricted_to(H.version_space(((0, 1),)))
+    assert (H.restricted_to(H.version_space(s))
+            == first.restricted_to(first.version_space(((2, 0),))))
 
 
 @st.composite
@@ -107,22 +108,22 @@ def classes_with_samples(draw):
 @given(classes_with_samples())
 def test_restrict_and_constrain_match_the_row_filter(case):
     H, sample = case
-    assert restrict(H, sample).rows == frozenset(
+    assert H.restricted_to(H.version_space(sample)).rows == frozenset(
         r for r in H.rows if all((r >> x) & 1 == y for x, y in sample))
     for x in H.domain():
         for y in (0, 1):
-            assert constrain(H, x, y).rows == frozenset(
+            assert H.restricted_to(H.version_space(((x, y),))).rows == frozenset(
                 r for r in H.rows if (r >> x) & 1 == y)
     n = H.domain_size
     with pytest.raises(ValueError, match=f"^instance {n} outside domain of size {n}$"):
-        restrict(H, sample.append(n, 1))
+        H.version_space(sample.append(n, 1))
 
 
 def test_empirical_loss_and_realizability():
     H = thresholds(2)
     s = Sample.of((0, 1), (3, 0))
-    assert is_realizable(H, s)
-    assert not is_realizable(H, Sample.of((1, 1), (0, 0)))
+    assert H.version_space(s)
+    assert not H.version_space(Sample.of((1, 1), (0, 0)))
     row = (1 << 1) - 1  # labels only instance 0 with 1
     assert empirical_loss(row, s) == 0
     assert empirical_loss(Hypothesis.from_support({3}), s) == 2

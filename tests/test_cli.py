@@ -1,6 +1,9 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from littlelab import cli
 from littlelab.classes import FiniteClass, from_file, hd_prime, singletons, to_file
@@ -34,11 +37,10 @@ def test_default_oracle_has_mixed_bits():
     assert bits == {True, False}
 
 
-def test_oracle_env_variable(tmp_path, monkeypatch):
+def test_load_oracle_reads_a_table_file(tmp_path):
     path = tmp_path / "oracle.json"
     path.write_text(json.dumps({"0,0": {"halts": 1}}))
-    monkeypatch.setenv(cli.ORACLE_ENV, str(path))
-    oracle = cli.load_oracle(None)
+    oracle = cli.load_oracle(str(path))
     assert oracle.halts(0, 0).value == 1
     assert oracle.halts(1, 1).status == HaltsAnswer.NO
 
@@ -335,6 +337,20 @@ def test_pac_eval_deterministic(capsys):
     assert first == second and first[0] == 0
 
 
+# No row to draw the target from; no instance to spread the distribution over.
+NO_TARGET = {"domain_size": 2, "hypotheses": []}
+NO_DOMAIN = {"domain_size": 0, "hypotheses": [""]}
+
+
+@pytest.mark.parametrize("payload", [NO_TARGET, NO_DOMAIN])
+def test_pac_eval_refuses_a_class_it_cannot_draw_from(capsys, tmp_path, payload):
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "pac-eval", "--file", str(path))
+    assert code == 1
+    assert out == "" and err.startswith("usage error") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("learner", ["const1", "sol"])
 def test_convert_rejects_out_of_domain_sample(capsys, learner):
     # The last item is never folded into a prefix state, so only the
@@ -391,3 +407,67 @@ def test_size_and_budget_flags_are_checked_at_parse_time(capsys, argv):
     assert code == 1
     assert out == "" and "Traceback" not in err
     assert f"argument {argv[-2]}" in err
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed class files
+
+@st.composite
+def valid_class_files(draw):
+    n = draw(st.integers(0, 6))
+    rows = draw(st.sets(st.integers(0, (1 << n) - 1), max_size=8))
+    return {"domain_size": n,
+            "hypotheses": ["".join(str(row >> x & 1) for x in range(n)) for row in rows]}
+
+
+@st.composite
+def malformed_class_files(draw):
+    payload = draw(valid_class_files())
+    n, rows = payload["domain_size"], payload["hypotheses"]
+    fault = draw(st.sampled_from(["extra key", "missing key", "not an object", "not a list",
+                                  "ragged", "non-binary", "duplicate", "domain"]))
+    if fault == "extra key":
+        payload["rows"] = rows
+    elif fault == "missing key":
+        del payload[draw(st.sampled_from(sorted(payload)))]
+    elif fault == "not an object":
+        return [n, rows]
+    elif fault == "not a list":
+        payload["hypotheses"] = draw(st.sampled_from(["01", 3, None, {"0": "1"}]))
+    elif fault == "ragged":
+        length = draw(st.integers(0, 7).filter(lambda k: k != n))
+        rows.insert(draw(st.integers(0, len(rows))), "1" * length)
+    elif fault == "non-binary":
+        bad = draw(st.text("012ab ", min_size=n, max_size=n).filter(
+            lambda text: set(text) - {"0", "1"}) if n else st.sampled_from([0, None, ["0"]]))
+        rows.insert(draw(st.integers(0, len(rows))), bad)
+    elif fault == "duplicate":
+        rows.append(rows[0] if rows else "0" * n)
+        rows.append(rows[-1])
+    else:
+        payload["domain_size"] = draw(st.sampled_from([True, False, 2.0, 0.5, -1, "3", None]))
+    return payload
+
+
+def _class_file_commands(path, out_path, horizon):
+    duels = [("duel", "--learner", learner, "--horizon", str(horizon))
+             for learner in ("sol", "conservative", "const1", "fallback")]
+    for command in [("ldim",), *duels, ("significance", "--max-len", "1"), ("convert",),
+                    ("pac-eval", "--m", "3", "--trials", "2"), ("build", "--out", out_path)]:
+        yield [command[0], "--file", path, *command[1:]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_class_files() | malformed_class_files(), st.integers(1, 3))
+@example(NO_TARGET, 3)
+@example(NO_DOMAIN, 3)
+def test_class_file_commands_keep_the_exit_code_contract(tmp_path_factory, payload, horizon):
+    folder = tmp_path_factory.mktemp("fuzz")
+    path = folder / "class.json"
+    path.write_text(json.dumps(payload))
+    for argv in _class_file_commands(str(path), str(folder / "out.json"), horizon):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2), (argv, payload)
+        assert "Traceback" not in err.getvalue(), (argv, payload)

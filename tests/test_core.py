@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_core as reference
-from littlelab.core import (EMPTY_SAMPLE, LabeledInstance, NotInRangeError,
-                            Sample, canonical_index, decode_canonical,
-                            decode_sample, decode_sequence, encode_sample,
-                            encode_sequence)
+from littlelab.core import (LabeledInstance, NotInRangeError, Sample,
+                            canonical_index, decode_canonical, decode_sample,
+                            decode_sequence, encode_sample, encode_sequence)
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +25,7 @@ def test_sample_rejects_bad_labels_and_negative_instances():
 
 def test_sample_prefix_law():
     s = Sample.of((1, 1), (2, 0), (3, 1))
-    assert s.prefix(0) == EMPTY_SAMPLE
+    assert s.prefix(0) == Sample()
     assert s.prefix(2).items == s.items[:2]
     with pytest.raises(ValueError):
         s.prefix(4)
@@ -34,8 +33,8 @@ def test_sample_prefix_law():
         s.prefix(-1)
 
 
-def test_sample_concat_and_append():
-    s = Sample.of((1, 1)).concat(Sample.of((2, 0)))
+def test_sample_append():
+    s = Sample.of((1, 1)).append(2, 0)
     assert s == Sample.of((1, 1), (2, 0))
     assert s.append(5, 1) == Sample.of((1, 1), (2, 0), (5, 1))
 

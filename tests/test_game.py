@@ -4,8 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from littlelab.classes import (FiniteClass, hd_prime, restrict, singletons,
-                               thresholds)
+from littlelab.classes import FiniteClass, hd_prime, singletons, thresholds
 from littlelab.core import Sample
 from littlelab.errors import NotRealizableError
 from littlelab import game
@@ -68,7 +67,7 @@ def test_post_sample_bounds():
         mistake_bound(learner, H, Horizon(6)).value
     for sample in realizable_samples(H, 2):
         optimum = optimal_post_sample_bound(H, sample)
-        assert optimum == ldim(restrict(H, sample))
+        assert optimum == ldim(H.restricted_to(H.version_space(sample)))
         assert post_sample_mistake_bound(learner, H, sample, Horizon(6)) == optimum
 
 

@@ -40,8 +40,7 @@ CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_is_unchanged(name, capsys, monkeypatch):
-    monkeypatch.delenv(cli.ORACLE_ENV, raising=False)
+def test_cli_output_is_unchanged(name, capsys):
     case = CASES[name]
     assert cli.main(case["argv"]) == case["exit"]
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 from littlelab import kernels
 from littlelab.cli import default_table_oracle
 from littlelab.budget import FuelExhaustedError
-from littlelab.classes import (EnumerableClass, FiniteClass, constrain,
-                               hd_prime, singletons, thresholds)
+from littlelab.classes import (EnumerableClass, FiniteClass, hd_prime,
+                               singletons, thresholds)
 from littlelab.core import Sample
 from littlelab.families import (IndexedClass, extended_block_supports,
                                 triple_block_family, two_tier_block_supports)
@@ -26,7 +26,7 @@ from littlelab.significance import is_opt_significant
 # sol
 
 def test_sol_tie_breaks_to_one():
-    H = FiniteClass.from_rows(2, [0b01, 0b11])  # supports {0} and {0,1}
+    H = FiniteClass(2, frozenset({0b01, 0b11}))  # supports {0} and {0,1}
     assert sol(H).predict(Sample.of((0, 1)), 1) == 1
 
 
@@ -40,7 +40,8 @@ def test_sol_prefers_the_larger_restriction():
     H = thresholds(2)
     prediction = sol(H).predict(Sample(), 1)
     assert prediction == 1
-    assert ldim(constrain(H, 1, 1)) > ldim(constrain(H, 1, 0))
+    assert (ldim(H.restricted_to(H.version_space(((1, 1),))))
+            > ldim(H.restricted_to(H.version_space(((1, 0),)))))
 
 
 def test_sol_determinism():
@@ -171,7 +172,7 @@ def test_sig_predictor_fuel_exhaustion():
 
 def test_sig_predictor_negative_depth_exhausts():
     # Dimension 0 class: any recorded mistake drives the race depth below 0.
-    H = FiniteClass.from_rows(2, [0b01])
+    H = FiniteClass(2, frozenset({0b01}))
     enumerable = EnumerableClass.embed_finite(H)
     predictor = sig_predictor(enumerable, 0)
     with pytest.raises(FuelExhaustedError):

@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 from littlelab.budget import FuelExhaustedError
 from littlelab.classes import (EnumerableClass, FiniteClass, Hypothesis,
                                hd_prime, singletons, thresholds)
-from littlelab.littlestone import (FUEL_EXHAUSTED, ShatteredTree,
-                                   enumerate_shattered_trees,
+from littlelab.littlestone import (ShatteredTree, enumerate_shattered_trees,
                                    find_shattered_tree, ldim,
                                    max_witness_depth, tree_enumerator,
                                    verify_shattered_tree)
@@ -114,10 +113,18 @@ def test_enumerator_depth_zero_needs_one_hypothesis():
 
 def test_enumerator_fuel_exhaustion_is_an_outcome():
     E = EnumerableClass.embed_finite(thresholds(2))
-    assert enumerate_shattered_trees(E, 2, fuel=3) is FUEL_EXHAUSTED
-    assert enumerate_shattered_trees(E, 2, fuel=0) is FUEL_EXHAUSTED
+    with pytest.raises(FuelExhaustedError, match="^fuel exhausted$"):
+        enumerate_shattered_trees(E, 2, fuel=3)
+    with pytest.raises(FuelExhaustedError, match="^fuel exhausted$"):
+        enumerate_shattered_trees(E, 2, fuel=0)
     # Depth above the true dimension never certifies, only exhausts.
-    assert enumerate_shattered_trees(E, 3, fuel=2_000) is FUEL_EXHAUSTED
+    with pytest.raises(FuelExhaustedError, match="^fuel exhausted$"):
+        enumerate_shattered_trees(E, 3, fuel=2_000)
+    # At negative depth there is no witness to find, whatever the fuel.
+    with pytest.raises(FuelExhaustedError, match="negative depth"):
+        enumerate_shattered_trees(E, -1, fuel=2_000)
+    with pytest.raises(ValueError, match="fuel must be a natural"):
+        enumerate_shattered_trees(E, 2, fuel=-1)
 
 
 def test_enumerator_skips_absent_slots():

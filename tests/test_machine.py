@@ -281,24 +281,27 @@ WALK_CALLS = st.tuples(st.sampled_from(("certificate_index", "enumerate", "p_cer
 def test_kept_walks_answer_like_cold_walks_in_any_order(calls):
     visited: Counter = Counter()  # pairs stepped by the walk from each input
     walking = []  # the input of the walk now advancing, if any
-    execute, advance = machine._execute, machine._Walk._advance
+    execute, dovetail = machine._execute, machine._dovetail
 
     def counting(*args):
         if walking:
             visited[walking[-1]] += 1
         return execute(*args)
 
-    def advancing(walk, cap):
-        walking.append(walk.x)
-        try:
-            return advance(walk, cap)
-        finally:
-            walking.pop()
+    def dovetailing(x):
+        steps, cap = dovetail(x), None
+        while True:
+            walking.append(x)
+            try:
+                find = steps.send(cap)
+            finally:
+                walking.pop()
+            cap = yield find
 
     largest: Counter = Counter()
     machine._walk.cache_clear()
     with mock.patch.object(machine, "_execute", counting), \
-            mock.patch.object(machine._Walk, "_advance", advancing):
+            mock.patch.object(machine, "_dovetail", dovetailing):
         for kind, x, cap, i, j in calls:
             e = _reference_enumeration(x, j or i, 500_000).program_index
             if kind == "certificate_index":

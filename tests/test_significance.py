@@ -1,7 +1,6 @@
 import pytest
 
-from littlelab.classes import (FiniteClass, hd_prime, restrict, singletons,
-                               thresholds)
+from littlelab.classes import FiniteClass, hd_prime, singletons, thresholds
 from littlelab.core import Sample
 from littlelab.errors import InstanceTooLargeError, NotRealizableError
 from littlelab.game import realizable_samples
@@ -68,14 +67,14 @@ def test_brute_force_caps_are_enforced():
     # Eight rows free on instances 1-3 and 0 on instance 0, so (0, 0) is a
     # significant step of every history and each entry point reaches its caps.
     rows = [r << 1 for r in range(BRUTE_FORCE_MAX_ROWS)]
-    at_caps = FiniteClass.from_rows(BRUTE_FORCE_MAX_DOMAIN, rows)
+    at_caps = FiniteClass(BRUTE_FORCE_MAX_DOMAIN, frozenset(rows))
     assert len(at_caps) == BRUTE_FORCE_MAX_ROWS
     longest = Sample.of(*[(0, 0)] * BRUTE_FORCE_MAX_SAMPLE_LEN)
     above = [
-        (FiniteClass.from_rows(BRUTE_FORCE_MAX_DOMAIN + 1, rows), Sample(),
+        (FiniteClass(BRUTE_FORCE_MAX_DOMAIN + 1, frozenset(rows)), Sample(),
          f"domain {BRUTE_FORCE_MAX_DOMAIN + 1} exceeds brute-force cap "
          f"{BRUTE_FORCE_MAX_DOMAIN}$"),
-        (FiniteClass.from_rows(BRUTE_FORCE_MAX_DOMAIN, rows + [1]), Sample(),
+        (FiniteClass(BRUTE_FORCE_MAX_DOMAIN, frozenset(rows + [1])), Sample(),
          f"{BRUTE_FORCE_MAX_ROWS + 1} rows exceed brute-force cap "
          f"{BRUTE_FORCE_MAX_ROWS}$"),
         (at_caps, longest.append(0, 0),
@@ -115,7 +114,7 @@ def test_achievable_mistake_counts_pinpoints_optimal_runs():
 
 def test_condition_equivalence_on_small_classes():
     for H in (singletons(2), thresholds(1),
-              FiniteClass.from_rows(3, [0b001, 0b011, 0b111])):
+              FiniteClass(3, frozenset({0b001, 0b011, 0b111}))):
         for sample in realizable_samples(H, 2):
             report = check_condition_equivalence(H, sample)
             assert report.equivalent, (H, sample.items, report)
