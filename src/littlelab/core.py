@@ -154,4 +154,11 @@ def canonical_index(instances: Iterable[int]) -> int:
 def decode_canonical(y: int) -> frozenset[int]:
     if y < 0:
         raise ValueError("canonical indices are naturals")
-    return frozenset(i for i in range(y.bit_length()) if (y >> i) & 1)
+    # Peel off the lowest set bit: one pass over the code per member, so a
+    # sparse code of many bits decodes in O(members × bits).
+    members = []
+    while y:
+        low = y & -y
+        members.append(low.bit_length() - 1)
+        y ^= low
+    return frozenset(members)

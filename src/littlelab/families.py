@@ -15,6 +15,10 @@ These families tie online-learning structure to halting behavior:
 * initial-segment family: h_s(x) = 1 iff program x self-halts within s
   steps; it contains arbitrarily many thresholds.
 
+Each certificate-block family is one table of support shapes
+(EXTENDED_SHAPES, TWO_TIER_SHAPES), read both by `block_members`, which lists
+a block's supports, and by `family_decider`, which decides membership.
+
 True natural-number instances can be huge, so `IndexedClass` re-indexes a
 finite set of supports onto a compact domain for the exact game analysis.
 """
@@ -132,49 +136,50 @@ def certificate_position(oracle, e: int, x: int) -> int:
     return index
 
 
-def extended_block_members(oracle, e: int) -> list[frozenset[int]]:
-    """All supports the extended halting-support family places in block e."""
+# A shape (at_0, at_e, output) puts into block e the support
+# {2**e} | {2**e * y**c0 for y in at_0} | {2**e * y**ce for y in at_e}, where c0
+# and ce are P_e's certificate positions on inputs 0 and e.  A block is empty
+# unless P_e halts on 0; a shape with primes in at_e needs P_e to halt on e
+# too, with halting output `output` unless that is None.
+Shape = tuple[tuple[int, ...], tuple[int, ...], int | None]
+
+EXTENDED_SHAPES: tuple[Shape, ...] = (((3,), (), None), ((5,), (7,), 1), ((5,), (11,), 1),
+                                      ((5,), (13,), 0), ((3,), (13,), 0))
+TWO_TIER_SHAPES: tuple[Shape, ...] = (((3,), (), None), ((5,), (7,), None),
+                                      ((5,), (11,), None))
+
+
+def block_members(oracle, e: int, shapes: Sequence[Shape]) -> list[frozenset[int]]:
+    """The supports `shapes` place in block e, in table order.
+
+    ce is looked up only at the first kept shape that needs it, so a block
+    whose P_e does not halt on e asks for no certificate on input e.
+    """
     if oracle.halts(e, 0).status != HaltsAnswer.YES:
         return []
+    base = 2 ** e
     c0 = certificate_position(oracle, e, 0)
-    members = [frozenset({2 ** e, 2 ** e * 3 ** c0})]
     reply = oracle.halts(e, e)
-    if reply.status == HaltsAnswer.YES and reply.value in (0, 1):
-        ce = certificate_position(oracle, e, e)
-        if reply.value == 1:
-            members.append(frozenset({2 ** e, 2 ** e * 5 ** c0, 2 ** e * 7 ** ce}))
-            members.append(frozenset({2 ** e, 2 ** e * 5 ** c0, 2 ** e * 11 ** ce}))
-        else:
-            members.append(frozenset({2 ** e, 2 ** e * 5 ** c0, 2 ** e * 13 ** ce}))
-            members.append(frozenset({2 ** e, 2 ** e * 3 ** c0, 2 ** e * 13 ** ce}))
-    return members
-
-
-def two_tier_block_members(oracle, e: int) -> list[frozenset[int]]:
-    """All supports the two-tier halting-support family places in block e."""
-    if oracle.halts(e, 0).status != HaltsAnswer.YES:
-        return []
-    c0 = certificate_position(oracle, e, 0)
-    members = [frozenset({2 ** e, 2 ** e * 3 ** c0})]
-    if oracle.halts(e, e).status == HaltsAnswer.YES:
-        ce = certificate_position(oracle, e, e)
-        members.append(frozenset({2 ** e, 2 ** e * 5 ** c0, 2 ** e * 7 ** ce}))
-        members.append(frozenset({2 ** e, 2 ** e * 5 ** c0, 2 ** e * 11 ** ce}))
+    ce = None
+    members = []
+    for at_0, at_e, output in shapes:
+        if at_e:
+            if reply.status != HaltsAnswer.YES or (output is not None
+                                                    and reply.value != output):
+                continue
+            if ce is None:
+                ce = certificate_position(oracle, e, e)
+        members.append(frozenset({base, *(base * y ** c0 for y in at_0),
+                                  *(base * y ** ce for y in at_e)}))
     return members
 
 
 def extended_block_supports(oracle, e_list: Sequence[int]) -> list[frozenset[int]]:
-    supports: list[frozenset[int]] = []
-    for e in e_list:
-        supports.extend(extended_block_members(oracle, e))
-    return supports
+    return [support for e in e_list for support in block_members(oracle, e, EXTENDED_SHAPES)]
 
 
 def two_tier_block_supports(oracle, e_list: Sequence[int]) -> list[frozenset[int]]:
-    supports: list[frozenset[int]] = []
-    for e in e_list:
-        supports.extend(two_tier_block_members(oracle, e))
-    return supports
+    return [support for e in e_list for support in block_members(oracle, e, TWO_TIER_SHAPES)]
 
 
 def _decompose_support(members: frozenset[int]) -> dict[int | None, tuple[int, int]] | None:
@@ -201,58 +206,40 @@ def _decompose_support(members: frozenset[int]) -> dict[int | None, tuple[int, i
     return shape
 
 
-def extended_family_decider(oracle) -> Callable[[int], int]:
+def family_decider(oracle, shapes: Sequence[Shape]) -> Callable[[int], int]:
     """Total decider for membership of a canonically-coded finite set in the
-    extended block family."""
+    family `shapes` lays out: a block support of one shape's primes, with the
+    certificate exponents and the output on e that the shape asks for."""
+    by_primes = {frozenset(shape[0] + shape[1]): shape for shape in shapes}
 
     def decide(y_code: int) -> int:
-        members = decode_canonical(y_code)
-        shape = _decompose_support(members)
+        exponents = _decompose_support(decode_canonical(y_code))
+        if exponents is None:
+            return 0
+        e = exponents[None][0]
+        shape = by_primes.get(frozenset(exponents) - {None})
         if shape is None:
             return 0
-        e = shape[None][0]
-        primes = set(shape) - {None}
-        if primes == {3} and len(members) == 2:
-            return int(oracle.cert_matches(e, shape[3][1], 0))
-        if len(members) != 3:
+        at_0, at_e, output = shape
+        if not (all(oracle.cert_matches(e, exponents[y][1], 0) for y in at_0)
+                and all(oracle.cert_matches(e, exponents[y][1], e) for y in at_e)):
             return 0
-        if primes in ({5, 7}, {5, 11}, {5, 13}):
-            i = shape[5][1]
-            j = shape[7][1] if 7 in shape else shape[11][1] if 11 in shape else shape[13][1]
-        elif primes == {3, 13}:
-            i, j = shape[3][1], shape[13][1]
-        else:
-            return 0
-        if not (oracle.cert_matches(e, i, 0) and oracle.cert_matches(e, j, e)):
-            return 0
+        if output is None:
+            return 1
         reply = oracle.halts(e, e)
-        if reply.status != HaltsAnswer.YES or reply.value not in (0, 1):
-            return 0
-        has_13 = 13 in primes
-        return int((reply.value == 0) == has_13)
+        return int(reply.status == HaltsAnswer.YES and reply.value == output)
 
     return decide
+
+
+def extended_family_decider(oracle) -> Callable[[int], int]:
+    """Total decider for membership in the extended block family."""
+    return family_decider(oracle, EXTENDED_SHAPES)
 
 
 def two_tier_family_decider(oracle) -> Callable[[int], int]:
     """Total decider for membership in the two-tier block family."""
-
-    def decide(y_code: int) -> int:
-        members = decode_canonical(y_code)
-        shape = _decompose_support(members)
-        if shape is None:
-            return 0
-        e = shape[None][0]
-        primes = set(shape) - {None}
-        if primes == {3} and len(members) == 2:
-            return int(oracle.cert_matches(e, shape[3][1], 0))
-        if len(members) == 3 and primes in ({5, 7}, {5, 11}):
-            i = shape[5][1]
-            j = shape[7][1] if 7 in shape else shape[11][1]
-            return int(oracle.cert_matches(e, i, 0) and oracle.cert_matches(e, j, e))
-        return 0
-
-    return decide
+    return family_decider(oracle, TWO_TIER_SHAPES)
 
 
 # ---------------------------------------------------------------------------

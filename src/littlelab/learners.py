@@ -20,8 +20,8 @@ from typing import Callable, Hashable, Iterable
 from .budget import FuelExhaustedError, FuelTank
 from .classes import EnumerableClass, FiniteClass
 from .core import Sample, encode_sample
-from .families import (certificate_position, extended_block_members,
-                       factor_block_instance, two_tier_block_members)
+from .families import (EXTENDED_SHAPES, TWO_TIER_SHAPES, block_members,
+                       certificate_position, factor_block_instance)
 from .littlestone import ShatteredTree, tree_enumerator
 from .machine import HaltsAnswer, apply2, Halted
 
@@ -317,7 +317,7 @@ def b_extended_blocks(oracle) -> Learner:
         return frozenset({2 ** e, 2 ** e * 3 ** certificate_position(oracle, e, 0)})
 
     return _block_learner("b-extended-blocks", first_support,
-                          lambda e: extended_block_members(oracle, e))
+                          lambda e: block_members(oracle, e, EXTENDED_SHAPES))
 
 
 def b_two_tier_blocks(oracle) -> Learner:
@@ -341,7 +341,7 @@ def b_two_tier_blocks(oracle) -> Learner:
         return None
 
     return _block_learner("b-two-tier-blocks", first_support,
-                          lambda e: two_tier_block_members(oracle, e))
+                          lambda e: block_members(oracle, e, TWO_TIER_SHAPES))
 
 
 # ---------------------------------------------------------------------------

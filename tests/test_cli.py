@@ -128,6 +128,43 @@ def test_oracle_file_with_an_out_of_range_value_exit_code(capsys, tmp_path, entr
     assert out == "" and "'1,1'" in err and "Traceback" not in err
 
 
+def _builtin_table_with(**entries) -> dict:
+    """The built-in oracle table as an --oracle file, with `entries` (keyed
+    "e_x" for "e,x") replacing or adding pairs."""
+    table = cli.default_table_oracle().halting
+    raw = {f"{e},{x}": {"halts": value} for (e, x), value in table.items()}
+    raw.update({key.replace("_", ","): entry for key, entry in entries.items()})
+    return raw
+
+
+# A certificate position of 30 puts 2 * 3**30 (block 1) or 2**7 * 7**30
+# (block 7) into the truncation; its bitmask code would need that many bits.
+LARGE_C0 = _builtin_table_with(**{"1_0": {"halts": 0, "cert": 30}})
+LARGE_CE = _builtin_table_with(**{"7_7": {"halts": 1, "cert": 30}})
+
+
+@pytest.mark.parametrize("command", ["demo-dr-ext", "demo-dr-halt"])
+@pytest.mark.parametrize("raw", [LARGE_C0, LARGE_CE], ids=["c0", "ce"])
+def test_dr_demos_refuse_members_above_the_cap(capsys, tmp_path, command, raw):
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, command, "--oracle", str(path))
+    assert code == 1
+    assert out == "" and "Traceback" not in err
+    assert "usage error" in err and f"member cap of 2^{cli.MAX_MEMBER_BITS}" in err
+
+
+@pytest.mark.parametrize("command", ["demo-dr-ext", "demo-dr-halt"])
+def test_dr_demo_e_max_above_the_cap_is_a_usage_error(capsys, command):
+    code, out, err = run_cli(capsys, command, "--e-max", str(cli.MAX_MEMBER_BITS + 1))
+    assert code == 1
+    assert out == "" and "Traceback" not in err
+    assert "argument --e-max" in err and f"at most {cli.MAX_MEMBER_BITS}" in err
+    assert f"member cap of 2^{cli.MAX_MEMBER_BITS}" in err
+    # At the cap block e = 19 holds 2**19, below the member cap.
+    assert run_cli(capsys, command, "--e-max", str(cli.MAX_MEMBER_BITS))[0] == 0
+
+
 @pytest.mark.parametrize("key", ["0,0,0", "a,0", "5"])
 def test_oracle_file_with_a_malformed_key_exit_code(capsys, tmp_path, key):
     path = tmp_path / "oracle.json"
@@ -471,3 +508,57 @@ def test_class_file_commands_keep_the_exit_code_contract(tmp_path_factory, paylo
             code = cli.main(argv)
         assert code in (0, 1, 2), (argv, payload)
         assert "Traceback" not in err.getvalue(), (argv, payload)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed oracle files
+
+@st.composite
+def oracle_files(draw):
+    """An --oracle file over programs e <= 8 and inputs 0 and e: the built-in
+    table (now and then an empty one) with up to five entries replaced by
+    outputs from 0 to 3 and certificate positions from 1 to 4, or by
+    "diverges".  Now and then an entry has an output of -1, a certificate
+    position of -1, 0, 30 or 1000, or a non-integer value, a key is
+    malformed, or the file is not an object."""
+
+    def rare() -> bool:
+        return draw(st.integers(0, 9)) == 9
+
+    raw = {} if rare() else _builtin_table_with()
+    for _ in range(draw(st.integers(0, 5))):
+        e = draw(st.integers(0, 8))
+        key = f"{e},{draw(st.sampled_from([0, e]))}"
+        if rare():
+            key = draw(st.sampled_from(["0,0,0", "a,0", "5", "-1,0", ""]))
+        if draw(st.integers(0, 4)) == 0:
+            raw[key] = "diverges" if not rare() else draw(st.sampled_from([None, 1, [1]]))
+            continue
+        entry = {"halts": -1 if rare() else draw(st.integers(0, 3))}
+        if draw(st.booleans()):
+            entry["cert"] = draw(st.integers(1, 4))
+        if rare():
+            entry["cert"] = draw(st.sampled_from([-1, 0, 30, 1000]))
+        if rare():
+            entry[draw(st.sampled_from(["halts", "cert"]))] = draw(
+                st.sampled_from([1.5, True, "1", None, 2.0]))
+        raw[key] = entry
+    if rare():
+        return draw(st.sampled_from([[raw], list(raw), "diverges", 3, None]))
+    return raw
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_files(), st.integers(1, 9))
+@example(LARGE_C0, 9)
+@example(LARGE_CE, 9)
+def test_oracle_file_demos_keep_the_exit_code_contract(tmp_path_factory, raw, e_max):
+    path = tmp_path_factory.mktemp("fuzz") / "oracle.json"
+    path.write_text(json.dumps(raw))
+    for command in ("demo-rer-halt", "demo-dr-ext", "demo-dr-halt"):
+        argv = [command, "--oracle", str(path), "--e-max", str(e_max)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2), (argv, raw)
+        assert "Traceback" not in err.getvalue(), (argv, raw)

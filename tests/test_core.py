@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_core as reference
 from littlelab.core import (LabeledInstance, NotInRangeError, Sample,
@@ -138,6 +138,7 @@ def test_canonical_index_pinned_values():
 
 
 @given(st.frozensets(st.integers(min_value=0, max_value=40), max_size=8))
+@example(frozenset({0, 40, 1 << 17}))
 def test_canonical_round_trip(members):
     assert decode_canonical(canonical_index(members)) == members
 

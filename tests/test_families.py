@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_families as reference
+from littlelab.budget import FuelExhaustedError
 from littlelab.classes import FiniteClass
 from littlelab.core import Sample, canonical_index
 from littlelab.families import (BlockPosition, IndexedClass,
@@ -88,6 +91,97 @@ def test_two_tier_supports_and_decider():
     c0 = ORACLE.certificate_index(0, 0)
     ce = ORACLE.certificate_index(0, 0)
     assert decide(canonical_index({1, 5 ** c0, 13 ** ce})) == 0
+
+
+class LoggedOracle(TableOracle):
+    """A table oracle that logs every query.  The certificate positions of
+    the pairs in `unknown` are not found, as a budgeted oracle's may not be."""
+
+    def __init__(self, halting, certificates, unknown):
+        super().__init__(halting, certificates)
+        self.unknown = unknown
+        self.log = []
+
+    def halts(self, e, x):
+        self.log.append(("halts", e, x))
+        return super().halts(e, x)
+
+    def certificate_index(self, e, x):
+        self.log.append(("certificate_index", e, x))
+        return None if (e, x) in self.unknown else super().certificate_index(e, x)
+
+    def cert_matches(self, e, i, x):
+        self.log.append(("cert_matches", e, i, x))
+        return super().cert_matches(e, i, x)
+
+
+@st.composite
+def oracle_tables(draw):
+    """Entries for programs e < 4 on inputs 0 and e, each sometimes absent,
+    with outputs 0-2 and certificate positions 1-3 (sometimes the table's
+    default, sometimes not found)."""
+    halting, certificates, unknown = {}, {}, set()
+    for e in range(4):
+        for x in sorted({0, e}):
+            if draw(st.integers(0, 3)) == 0:
+                continue
+            halting[(e, x)] = draw(st.integers(0, 2))
+            if draw(st.booleans()):
+                certificates[(e, x)] = draw(st.integers(1, 3))
+            if draw(st.integers(0, 7)) == 0:
+                unknown.add((e, x))
+    return halting, certificates, unknown
+
+
+def _outcome(table, call):
+    """What `call(oracle)` returns or the budget error it raises, and the
+    oracle queries it made, on a fresh logged oracle over `table`."""
+    oracle = LoggedOracle(*table)
+    try:
+        result = call(oracle)
+    except FuelExhaustedError as exc:
+        result = ("budget", str(exc))
+    return result, oracle.log
+
+
+FAMILIES = [(extended_block_supports, reference.extended_block_members,
+             extended_family_decider, reference.extended_family_decider),
+            (two_tier_block_supports, reference.two_tier_block_members,
+             two_tier_family_decider, reference.two_tier_family_decider)]
+
+
+@st.composite
+def block_sets(draw):
+    """Finite sets near a block's supports: 2**e or not, odd block primes
+    with exponents 0-3 and sometimes a member of another block."""
+    e = draw(st.integers(0, 3))
+    members = set() if draw(st.integers(0, 4)) == 4 else {2 ** e}
+    for y in draw(st.lists(st.sampled_from((3, 5, 7, 11, 13)), max_size=3)):
+        members.add(2 ** e * y ** draw(st.integers(0, 3)))
+    if draw(st.integers(0, 4)) == 4:
+        members.add(2 ** draw(st.integers(0, 3)) * draw(st.sampled_from((1, 3, 13))))
+    return frozenset(members)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_tables(), st.lists(block_sets(), max_size=4))
+def test_shape_tables_match_the_if_chains(table, drawn):
+    for supports, members, decider, reference_decider in FAMILIES:
+        for e_list in ([0], [1], [2], [3], range(4)):
+            assert _outcome(table, lambda o: supports(o, e_list)) == _outcome(
+                table, lambda o: [s for e in e_list for s in members(o, e)])
+        # Codes: every support the family would have without budget errors,
+        # each with one member shifted by -1, 1, 2 or 3, and the drawn sets.
+        sets = set(drawn)
+        for support in supports(TableOracle(*table[:2]), range(4)):
+            sets.add(support)
+            for member in support:
+                for shift in (-1, 1, 2, 3):
+                    sets.add((support - {member}) | {member + shift})
+        for candidate in sorted(sets, key=sorted):
+            code = canonical_index(candidate)
+            assert _outcome(table, lambda o: decider(o)(code)) == _outcome(
+                table, lambda o: reference_decider(o)(code)), sorted(candidate)
 
 
 # ---------------------------------------------------------------------------
