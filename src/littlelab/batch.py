@@ -11,11 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import product
 from typing import Callable, Iterable, Mapping
 
-from .classes import FiniteClass, empirical_loss
 from .core import LabeledInstance, Sample
 
 
@@ -56,32 +53,6 @@ def online_to_batch(learner, sample: Sample) -> ProbabilisticHypothesis:
         return sum(Fraction(learner.decide(state, x)) for state in states) / len(states)
 
     return ProbabilisticHypothesis(fn)
-
-
-# ---------------------------------------------------------------------------
-# Worst-case regret over bounded samples
-
-# The most length-T samples `expected_regret` enumerates.
-ENUMERATION_GUARD = 10 ** 6
-
-
-def expected_regret(learner, H: FiniteClass, T: int) -> Fraction:
-    """Exact sup over all (not just realizable) length-T samples of learner
-    loss minus best-in-class loss."""
-    total = (2 * H.domain_size) ** T
-    if total > ENUMERATION_GUARD:
-        raise ValueError(
-            f"{total} samples exceed the enumeration guard {ENUMERATION_GUARD}")
-    items = [(x, y) for x in range(H.domain_size) for y in (0, 1)]
-    best = Fraction(0)
-    for sample in product(items, repeat=T):
-        learner_loss, state = Fraction(0), learner.init
-        for item in sample:
-            learner_loss += point_loss(partial(learner.decide, state), item)
-            state = learner.update(state, *item)
-        class_loss = min(Fraction(empirical_loss(row, sample)) for row in H.rows)
-        best = max(best, learner_loss - class_loss)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +105,6 @@ def distribution_error(h, D: FiniteDistribution) -> Fraction:
     return sum((w * point_loss(h, item) for item, w in D.weights), Fraction(0))
 
 
-def class_distribution_error(H: FiniteClass, D: FiniteDistribution) -> Fraction:
-    return min(
-        distribution_error(lambda x, row=row: (row >> x) & 1, D) for row in H.rows)
-
-
 def pac_evaluate(learner, D: FiniteDistribution, m: int, trials: int,
                  seed: int) -> list[Fraction]:
     """Per-trial exact error of the online-to-batch converted learner on m
@@ -150,13 +116,3 @@ def pac_evaluate(learner, D: FiniteDistribution, m: int, trials: int,
         errors.append(distribution_error(online_to_batch(learner, sample), D))
     return errors
 
-
-def find_unrealizable_labeling(H: FiniteClass) -> Sample | None:
-    """The lexicographically first full-domain labeling outside the class,
-    as a sample ((0, y_0), ..., (n-1, y_{n-1})); None if the class is all of
-    the cube."""
-    for mask_bits in product((0, 1), repeat=H.domain_size):
-        mask = sum(bit << x for x, bit in enumerate(mask_bits))
-        if mask not in H.rows:
-            return Sample.of(*enumerate(mask_bits))
-    return None

@@ -4,7 +4,7 @@ A FiniteClass is a deduplicated set of 0/1 rows over the domain prefix
 {0, ..., n-1}; rows are stored as bitmask integers (bit x set iff the
 hypothesis labels x with 1).  An EnumerableClass is a budgeted stream of
 hypotheses indexed by naturals, where a slot may be absent (a diverging
-enumeration step); queries against it are tri-state rather than hanging.
+enumeration step); queries read only the slots below its budget, so none hangs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import kernels
-from .core import Sample
 
 
 class ClassFileError(ValueError):
@@ -42,12 +41,6 @@ class Hypothesis:
     @staticmethod
     def from_support(instances: Iterable[int]) -> "Hypothesis":
         return Hypothesis(support=frozenset(instances))
-
-
-class Tristate:
-    YES = "yes"
-    NO = "no"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -142,16 +135,6 @@ class FiniteClass:
 
 
 # ---------------------------------------------------------------------------
-# Loss
-
-def empirical_loss(h: Hypothesis | int, sample: Sample) -> int:
-    """Number of disagreements between a hypothesis (or row mask) and the sample."""
-    if isinstance(h, int):
-        return sum(1 for x, y in sample if (h >> x) & 1 != y)
-    return sum(1 for x, y in sample if h(x) != y)
-
-
-# ---------------------------------------------------------------------------
 # Enumerable classes
 
 @dataclass(frozen=True)
@@ -172,10 +155,6 @@ class EnumerableClass:
             if h is not None:
                 yield i, h
 
-    def absent_slots(self) -> list[int]:
-        return [i for i in range(self.enumeration_budget)
-                if self.generator(i) is None]
-
     def constrained(self, pairs: Sequence[tuple[int, int]]) -> "EnumerableClass":
         """Filter the stream to hypotheses consistent with the given pairs."""
         base = self.generator
@@ -188,13 +167,6 @@ class EnumerableClass:
             return h
 
         return EnumerableClass(gen, self.enumeration_budget)
-
-    def is_realizable(self, sample: Sample) -> str:
-        """Tri-state: YES if some enumerated hypothesis is consistent, else UNKNOWN."""
-        for _, h in self.hypotheses():
-            if empirical_loss(h, sample) == 0:
-                return Tristate.YES
-        return Tristate.UNKNOWN
 
     def truncation(self, domain_size: int) -> FiniteClass:
         return FiniteClass.from_hypotheses(domain_size, (h for _, h in self.hypotheses()))

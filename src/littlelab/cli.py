@@ -19,6 +19,7 @@ from .budget import FuelExhaustedError
 from .classes import FiniteClass, from_file, hd_prime, singletons, thresholds, to_file
 from .core import Sample, canonical_index
 from .errors import PropertyViolation
+from .families import MAX_MEMBER_BITS
 from .game import Horizon
 from .littlestone import find_shattered_tree, ldim, max_witness_depth
 from .machine import HaltsAnswer, TableOracle
@@ -52,14 +53,6 @@ def load_oracle(path: str | None) -> TableOracle:
 # recursion limit: `optimal_mistake_bound` fails on thresholds(10), 1,024
 # rows, while singletons(1000) takes 0.15 s.
 MAX_ROWS = 128
-
-# Every member of a certificate-block support must be below
-# 2**MAX_MEMBER_BITS.  The demos code each support as a bitmask with a bit
-# per member value, so a code, perturbed members included, has at most
-# 2**20 + 1 bits; an --oracle file with certificate position 30 would
-# otherwise ask for a code of 2 * 3**30 bits.  Block e holds 2**e, so
-# `demo-dr-ext` and `demo-dr-halt` take --e-max at most MAX_MEMBER_BITS.
-MAX_MEMBER_BITS = 20
 
 # The longest horizon `duel --horizon` accepts.  The game explorer recurses
 # once per round, below Python's default limit of 1,000 frames: a constant
@@ -263,15 +256,6 @@ def _dr_reports(supports, decider, indexed) -> list[tuple[str, object]]:
     return report
 
 
-def _check_member_cap(supports) -> None:
-    """Refuse a truncation with a member too large to code as a bitmask."""
-    bits = max((max(support) for support in supports), default=0).bit_length()
-    if bits > MAX_MEMBER_BITS:
-        raise UsageError(f"the truncation has a member of {bits} bits, at or above the "
-                         f"member cap of 2^{MAX_MEMBER_BITS}; lower the certificate "
-                         f"positions in --oracle or --e-max")
-
-
 def _check_dr_ext_truncation(oracle, indexed, e_max: int) -> None:
     """Refuse a truncation too small to show the extended family's cases.
 
@@ -300,7 +284,6 @@ def cmd_demo_dr_ext(args) -> list[tuple[str, object]]:
     oracle = load_oracle(args.oracle)
     e_list = list(range(args.e_max))
     supports = families.extended_block_supports(oracle, e_list)
-    _check_member_cap(supports)
     indexed = families.IndexedClass.from_supports(supports)
     _check_dr_ext_truncation(oracle, indexed, args.e_max)
     decider = families.extended_family_decider(oracle)
@@ -334,7 +317,6 @@ def cmd_demo_dr_halt(args) -> list[tuple[str, object]]:
     if not supports:
         raise UsageError(f"--e-max {args.e_max} gives an empty truncation: no block "
                          f"e < {args.e_max} is populated; raise --e-max")
-    _check_member_cap(supports)
     indexed = families.IndexedClass.from_supports(supports)
     decider = families.two_tier_family_decider(oracle)
     report = _dr_reports(supports, decider, indexed)
@@ -464,6 +446,8 @@ def _horizon(text: str) -> int:
 
 
 def _block_count(text: str) -> int:
+    # Block e holds 2**e, so `demo-dr-ext` and `demo-dr-halt` take --e-max
+    # at most MAX_MEMBER_BITS.
     value = _positive(text)
     if value > MAX_MEMBER_BITS:
         raise argparse.ArgumentTypeError(

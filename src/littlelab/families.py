@@ -4,8 +4,6 @@ These families tie online-learning structure to halting behavior:
 
 * triple_block_family: supports {3e} always, plus {3e, 3e+1} and
   {3e, 3e+1, 3e+2} exactly when program e self-halts.
-* pair_block_family: support {2e, 2e+1} when program e self-halts, {2e}
-  otherwise.
 * extended_block_supports / two_tier_block_supports: supports inside the
   block 2**e * {3,5,7,11,13}**i whose exponents are halting-certificate
   positions, together with total deciders for exactly the member supports.
@@ -33,8 +31,7 @@ from .budget import FuelExhaustedError
 from .classes import EnumerableClass, FiniteClass, Hypothesis
 from .core import Sample, decode_canonical, encode_sample
 from .littlestone import ShatteredTree, find_shattered_tree, verify_shattered_tree
-from .machine import (HaltsAnswer, Halted, apply2, enumerate_programs,
-                      halting_steps, run)
+from .machine import HaltsAnswer, Halted, apply2, enumerate_programs, halting_steps
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +64,7 @@ class IndexedClass:
 
 
 # ---------------------------------------------------------------------------
-# Triple and pair block families (self-halting supports)
+# Triple block family (self-halting supports)
 
 def triple_block_family(oracle, e_max: int) -> EnumerableClass:
     """Three enumeration slots per block e; the upper two are present exactly
@@ -84,17 +81,6 @@ def triple_block_family(oracle, e_max: int) -> EnumerableClass:
         return Hypothesis.from_support({3 * e, 3 * e + 1, 3 * e + 2})
 
     return EnumerableClass(gen, 3 * e_max)
-
-
-def pair_block_family(oracle, e_max: int) -> FiniteClass:
-    """One hypothesis per block e: {2e, 2e+1} on self-halting, else {2e}."""
-    rows = set()
-    for e in range(e_max):
-        if oracle.halts(e, e).status == HaltsAnswer.YES:
-            rows.add((1 << (2 * e)) | (1 << (2 * e + 1)))
-        else:
-            rows.add(1 << (2 * e))
-    return FiniteClass(2 * e_max, frozenset(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +122,14 @@ def certificate_position(oracle, e: int, x: int) -> int:
     return index
 
 
+# Every member of a certificate-block support must be below
+# 2**MAX_MEMBER_BITS.  The CLI demos code each support as a bitmask with a
+# bit per member value, so a code, perturbed members included, has at most
+# 2**20 + 1 bits; an --oracle file with certificate position 30 would
+# otherwise ask for a code of 2 * 3**30 bits.  The built-in table's members
+# are below 2**14.
+MAX_MEMBER_BITS = 20
+
 # A shape (at_0, at_e, output) puts into block e the support
 # {2**e} | {2**e * y**c0 for y in at_0} | {2**e * y**ce for y in at_e}, where c0
 # and ce are P_e's certificate positions on inputs 0 and e.  A block is empty
@@ -154,10 +148,24 @@ def block_members(oracle, e: int, shapes: Sequence[Shape]) -> list[frozenset[int
 
     ce is looked up only at the first kept shape that needs it, so a block
     whose P_e does not halt on e asks for no certificate on input e.
+
+    A member at or above 2**MAX_MEMBER_BITS raises ValueError.  Every
+    position read is the exponent of a kept member 2**e * y**c, and
+    y**c > 2**c, so a position c >= MAX_MEMBER_BITS - e is refused before y
+    is raised to it.
     """
     if oracle.halts(e, 0).status != HaltsAnswer.YES:
         return []
     base = 2 ** e
+
+    def member(y: int, c: int) -> int:
+        value = base * y ** c if e + c < MAX_MEMBER_BITS else None
+        if value is None or value >> MAX_MEMBER_BITS:
+            raise ValueError(f"block {e} has the member 2^{e} * {y}^{c}, at or above the "
+                             f"member cap of 2^{MAX_MEMBER_BITS}; lower its certificate "
+                             f"position")
+        return value
+
     c0 = certificate_position(oracle, e, 0)
     reply = oracle.halts(e, e)
     ce = None
@@ -169,8 +177,8 @@ def block_members(oracle, e: int, shapes: Sequence[Shape]) -> list[frozenset[int
                 continue
             if ce is None:
                 ce = certificate_position(oracle, e, e)
-        members.append(frozenset({base, *(base * y ** c0 for y in at_0),
-                                  *(base * y ** ce for y in at_e)}))
+        members.append(frozenset({base, *(member(y, c0) for y in at_0),
+                                  *(member(y, ce) for y in at_e)}))
     return members
 
 

@@ -124,14 +124,6 @@ def mistake_bound(learner, H: FiniteClass, horizon: Horizon) -> GameValue:
     return GameValue(value, witness, horizon.t_max)
 
 
-def post_sample_mistake_bound(learner, H: FiniteClass, sample: Sample,
-                              horizon: Horizon) -> int:
-    """Most the learner can be made to err after witnessing `sample`."""
-    explorer = _Explorer(learner, H, horizon)
-    value, _ = explorer.future_mistakes(sample)
-    return value
-
-
 def optimal_post_sample_bound(H: FiniteClass, sample: Sample) -> int:
     """Optimal post-sample bound via the minimax recursion on the version space.
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .budget import FuelExhaustedError, FuelTank
 from .classes import EnumerableClass, FiniteClass
 
 
@@ -156,17 +155,3 @@ def tree_enumerator(H: EnumerableClass, d: int) -> Iterator[ShatteredTree | None
                 return
         stage += 1
 
-
-def enumerate_shattered_trees(H: EnumerableClass, d: int, fuel: int) -> ShatteredTree:
-    """First verified witness within fuel; one unit of fuel per progress tick.
-
-    Raises FuelExhaustedError when the fuel runs out first, and at d < 0,
-    where there is no witness to find.  Only finite classes can certify
-    absence; this operation never does.
-    """
-    tank = FuelTank(fuel)
-    for item in tree_enumerator(H, d):
-        if isinstance(item, ShatteredTree):
-            return item
-        tank.spend()
-    raise FuelExhaustedError("no witness can be certified at negative depth")

@@ -95,34 +95,6 @@ class ToyProgram:
         """A syntactically distinct, run-equivalent program (appends HALT 0)."""
         return ToyProgram(self.instructions + ((HALT, 0),))
 
-    def to_text(self) -> str:
-        lines = []
-        for ins in self.instructions:
-            lines.append(" ".join(str(part) for part in ins))
-        return "\n".join(lines)
-
-    @staticmethod
-    def from_text(text: str) -> "ToyProgram":
-        instructions: list[Instruction] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            op = parts[0].upper()
-            try:
-                if op == INC and len(parts) == 2:
-                    instructions.append((INC, int(parts[1])))
-                elif op == DECJZ and len(parts) == 3:
-                    instructions.append((DECJZ, int(parts[1]), int(parts[2])))
-                elif op == HALT and len(parts) in (1, 2):
-                    instructions.append((HALT, int(parts[1]) if len(parts) == 2 else 0))
-                else:
-                    raise ValueError
-            except ValueError:
-                raise ValueError(f"line {lineno}: cannot parse instruction {raw!r}") from None
-        return ToyProgram(tuple(instructions))
-
 
 def _instruction_to_nat(ins: Instruction) -> int:
     if ins[0] == HALT:

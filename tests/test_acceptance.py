@@ -10,10 +10,11 @@ from itertools import product
 
 from littlelab.batch import (FiniteDistribution, distribution_error,
                              online_to_batch, pac_evaluate)
-from littlelab.classes import hd_prime, thresholds
+from littlelab.classes import EnumerableClass, hd_prime, singletons, thresholds
 from littlelab.core import (Sample, canonical_index, decode_sample,
                             decode_sequence, encode_sample, encode_sequence)
-from littlelab.families import (adversarial_family, diagonal_forcing_sample,
+from littlelab.families import (IndexedClass, adversarial_family,
+                                diagonal_forcing_sample,
                                 dimension_witness_from_thresholds,
                                 extended_block_supports,
                                 extended_family_decider, find_thresholds, s2,
@@ -22,15 +23,19 @@ from littlelab.game import (Horizon, _Explorer, is_anytime_optimal,
                             is_optimal, mistake_bound, mistakes_on_sample,
                             optimal_mistake_bound, optimal_post_sample_bound,
                             realizable_samples)
-from littlelab.learners import (b_triple_blocks, sol,
-                                threshold_fallback_learner, toy_learner)
+from littlelab.learners import (b_extended_blocks, b_triple_blocks, relabeled,
+                                sig_predictor, sol, threshold_fallback_learner,
+                                toy_learner)
 from littlelab.littlestone import (find_shattered_tree, ldim,
                                    max_witness_depth, verify_shattered_tree)
-from littlelab.machine import CONST0_INDEX, CONST1_INDEX, HaltsAnswer
+from littlelab.machine import (CONST0_INDEX, CONST1_INDEX, HaltsAnswer,
+                               enumerate_programs, index_of)
 from littlelab.significance import (brute_force_aopt_significant,
                                     brute_force_opt_significant,
                                     check_condition_equivalence,
-                                    is_aopt_significant, is_opt_significant)
+                                    check_forced_mistake_count,
+                                    is_aopt_significant, is_opt_significant,
+                                    verify_ldim1_all_significant)
 from littlelab.cli import default_table_oracle
 from conftest import seeded_classes
 
@@ -108,13 +113,19 @@ def test_criterion_05_closed_forms_match_the_brute_force_oracle():
 
 def test_criterion_06_per_step_conditions_equal_forced_mistake_counts():
     classes = seeded_classes(55, 10, max_domain=4, max_rows=8)
-    checked = 0
+    checked = forced = 0
     for H in classes:
         for sample in realizable_samples(H, 2):
             report = check_condition_equivalence(H, sample)
             assert report.equivalent, (H, sample.items, report)
             checked += 1
-    _ok(6, f"condition equivalence held on all {checked} histories")
+            for x in H.domain():
+                if is_opt_significant(H, sample, x).significant:
+                    assert check_forced_mistake_count(H, sample, x) == report.expected
+                    forced += 1
+    assert forced > 0
+    _ok(6, f"condition equivalence held on all {checked} histories; "
+           f"{forced} significant inputs force dim(H) - dim(H_S) mistakes")
 
 
 def test_criterion_07_forced_predictions_mirror_halting_bits():
@@ -138,7 +149,6 @@ def test_criterion_08_certificate_family_dimension_decider_and_cases():
     e_list = list(range(9))
     supports = extended_block_supports(oracle, e_list)
     member_codes = {canonical_index(s) for s in supports}
-    from littlelab.families import IndexedClass
     indexed = IndexedClass.from_supports(supports)
     assert ldim(indexed.finite) == 2
     decide = extended_family_decider(oracle)
@@ -173,19 +183,29 @@ def test_criterion_08_certificate_family_dimension_decider_and_cases():
             cases[e] = "not-significant"
     assert set(cases.values()) == {
         "unrealizable", "not-significant", "significant:0", "significant:1"}
-    _ok(8, f"dimension 2, {rejected} non-members rejected, all four cases hit")
+    learner = relabeled(b_extended_blocks(oracle), indexed.to_natural)
+    bound = mistake_bound(learner, indexed.finite, Horizon(2 * ldim(indexed.finite) + 2))
+    assert bound.value == 2
+    _ok(8, f"dimension 2, {rejected} non-members rejected, all four cases hit; "
+           "block learner bound 2")
 
 
 def test_criterion_09_forcing_samples_defeat_their_coded_learners():
     for e in (CONST0_INDEX, CONST1_INDEX):
         learner = toy_learner(e)
+        # Padding lemma: another index of the same runs, so e's forcing
+        # samples defeat it too, though none is built for its own index.
+        padded = index_of(enumerate_programs(e).padded())
+        assert padded != e
         for M in (1, 2, 3):
             sample = diagonal_forcing_sample(e, M)
             assert len(sample) == M + 1
             assert mistakes_on_sample(learner, sample) == M + 1, (e, M)
+            assert mistakes_on_sample(toy_learner(padded), sample) == M + 1, (padded, M)
     truncation = adversarial_family(5).truncation(s2(5))
     assert ldim(truncation) == 1
-    _ok(9, "both constant-coded learners err M+1 times; diagonal dimension 1")
+    _ok(9, "both constant-coded learners and their padded indices err M+1 times; "
+           "diagonal dimension 1")
 
 
 def test_criterion_10_stage_thresholds_yield_a_depth2_witness():
@@ -237,3 +257,40 @@ def test_criterion_12_encodings_round_trip_and_are_injective():
                         for _ in range(rng.randint(0, 5))))
         assert decode_sample(encode_sample(s)) == s
     _ok(12, "exhaustive to length 3, seeded through length 6, samples included")
+
+
+def test_criterion_13_the_budgeted_predictor_is_exact_on_significant_inputs():
+    classes = [H for H in [hd_prime(2), hd_prime(3), thresholds(3), singletons(4)]
+               + seeded_classes(55, 10, max_domain=4, max_rows=8) if H.rows]
+    checked = 0
+    for H in classes:
+        predictor = sig_predictor(EnumerableClass.embed_finite(H), ldim(H))
+        reference = sol(H)
+        for sample in realizable_samples(H, 2):
+            for x in H.domain():
+                verdict = is_opt_significant(H, sample, x)
+                if verdict.significant:
+                    assert predictor.predict(sample, x) == verdict.forced_prediction \
+                        == reference.predict(sample, x), (H, sample.items, x)
+                    checked += 1
+    assert checked > 0
+    _ok(13, f"witness races on the enumerated class predict all {checked} "
+            f"forced labels (|S| <= 2, {len(classes)} classes)")
+
+
+def test_criterion_14_every_input_of_a_dimension1_class_is_significant():
+    checked = artifacts = 0
+    for n in (4, 6, 8):
+        # singletons(n) truncates the infinite class of singletons: it uses
+        # n of the 2n hypotheses the enumeration provides.  A two-row
+        # version space cannot arise in the infinite class, so the sweep
+        # prunes and counts such histories instead of failing them.
+        report = verify_ldim1_all_significant(singletons(n), enumerated=n,
+                                              enumeration_budget=2 * n,
+                                              max_sample_len=3)
+        assert report.precondition_ok and report.all_significant, report
+        checked += report.inputs_checked
+        artifacts += report.truncation_artifacts
+    assert checked > 0 and artifacts > 0
+    _ok(14, f"all {checked} inputs significant on singletons(4, 6, 8), |S| <= 3; "
+            f"{artifacts} two-row truncation artifacts pruned")

@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from littlelab.batch import (FiniteDistribution, ProbabilisticHypothesis,
-                             class_distribution_error, distribution_error,
-                             expected_regret, find_unrealizable_labeling,
-                             online_to_batch, pac_evaluate, point_loss)
-from littlelab.classes import FiniteClass, singletons, thresholds
+                             distribution_error, online_to_batch, pac_evaluate,
+                             point_loss)
+from littlelab.classes import thresholds
 from littlelab.core import Sample
 from littlelab.learners import constant_learner, sol
 
@@ -53,24 +52,6 @@ def test_conversion_of_empty_sample_is_the_prior():
 
 
 # ---------------------------------------------------------------------------
-# Regret
-
-def test_expected_regret_guard():
-    with pytest.raises(ValueError):
-        expected_regret(constant_learner(0), thresholds(2), 10)
-
-
-def test_expected_regret_values():
-    H = singletons(2)
-    # Worst case for the constant-0 learner: repeat one positive instance,
-    # which some singleton fits perfectly, so regret at T=2 is 2.
-    assert expected_regret(constant_learner(0), H, 2) == 2
-    values = [expected_regret(constant_learner(0), H, T) for T in (1, 2, 3)]
-    assert values == sorted(values)
-    assert all(v >= 0 for v in values)
-
-
-# ---------------------------------------------------------------------------
 # Distributions
 
 def test_distribution_weights_must_sum_to_one():
@@ -91,14 +72,6 @@ def test_uniform_distribution_and_exact_error():
         FiniteDistribution.uniform_over([])
 
 
-def test_class_distribution_error_zero_on_realizable():
-    H = thresholds(2)
-    target = min(H.rows)
-    D = FiniteDistribution.uniform_over(
-        (x, (target >> x) & 1) for x in H.domain())
-    assert class_distribution_error(H, D) == 0
-
-
 def test_draws_are_seeded_and_supported():
     D = FiniteDistribution.of({(0, 1): Fraction(1, 4), (1, 0): Fraction(3, 4)})
     a = D.draw(random.Random(5), 30)
@@ -116,14 +89,3 @@ def test_pac_evaluate_deterministic_in_seed():
     assert first == second
     assert all(isinstance(e, Fraction) and 0 <= e <= 1 for e in first)
 
-
-# ---------------------------------------------------------------------------
-# Unrealizable labelings
-
-def test_find_unrealizable_labeling():
-    H = singletons(2)
-    labeling = find_unrealizable_labeling(H)
-    assert labeling == Sample.of((0, 0), (1, 0))
-    assert not H.version_space(labeling)
-    cube = FiniteClass(2, frozenset(range(4)))
-    assert find_unrealizable_labeling(cube) is None

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from littlelab.classes import (ClassFileError, EnumerableClass, FiniteClass,
-                               Hypothesis, Tristate, empirical_loss, from_file,
-                               hd_prime, hd_prime_extra_instances, singletons,
-                               thresholds, to_file)
+                               Hypothesis, from_file, hd_prime,
+                               hd_prime_extra_instances, singletons, thresholds,
+                               to_file)
 from littlelab.core import Sample
 from conftest import seeded_classes
 
@@ -119,14 +119,11 @@ def test_restrict_and_constrain_match_the_row_filter(case):
         H.version_space(sample.append(n, 1))
 
 
-def test_empirical_loss_and_realizability():
+def test_version_space_decides_realizability():
     H = thresholds(2)
     s = Sample.of((0, 1), (3, 0))
     assert H.version_space(s)
     assert not H.version_space(Sample.of((1, 1), (0, 0)))
-    row = (1 << 1) - 1  # labels only instance 0 with 1
-    assert empirical_loss(row, s) == 0
-    assert empirical_loss(Hypothesis.from_support({3}), s) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +190,7 @@ def test_embed_finite_truncation_recovers_class():
     H = hd_prime(2)
     E = EnumerableClass.embed_finite(H)
     assert E.truncation(H.domain_size) == H
-    assert E.absent_slots() == []
+    assert all(E.generator(i) is not None for i in range(E.enumeration_budget))
 
 
 def test_enumerable_absent_slots_and_constrained():
@@ -203,15 +200,9 @@ def test_enumerable_absent_slots_and_constrained():
         return Hypothesis.from_support({i})
 
     E = EnumerableClass(gen, 6)
-    assert E.absent_slots() == [1, 3, 5]
+    assert [i for i in range(6) if E.generator(i) is None] == [1, 3, 5]
+    assert [i for i, _ in E.hypotheses()] == [0, 2, 4]
     constrained = E.constrained(((0, 0),))  # kills the support-{0} hypothesis
     present = [i for i, _ in constrained.hypotheses()]
     assert present == [2, 4]
 
-
-def test_enumerable_realizability_is_tristate():
-    E = EnumerableClass.embed_finite(singletons(3))
-    assert E.is_realizable(Sample.of((0, 1))) == Tristate.YES
-    # No enumerated hypothesis labels two instances 1; the stream cannot
-    # certify absence, only fail to certify presence.
-    assert E.is_realizable(Sample.of((0, 1), (1, 1))) == Tristate.UNKNOWN

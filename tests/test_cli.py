@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -141,14 +142,18 @@ def _builtin_table_with(**entries) -> dict:
 # (block 7) into the truncation; its bitmask code would need that many bits.
 LARGE_C0 = _builtin_table_with(**{"1_0": {"halts": 0, "cert": 30}})
 LARGE_CE = _builtin_table_with(**{"7_7": {"halts": 1, "cert": 30}})
+# 2**7 * 7**(10**7) has 28 million bits: the member is refused unbuilt.
+HUGE_CE = _builtin_table_with(**{"7_7": {"halts": 1, "cert": 10 ** 7}})
 
 
 @pytest.mark.parametrize("command", ["demo-dr-ext", "demo-dr-halt"])
-@pytest.mark.parametrize("raw", [LARGE_C0, LARGE_CE], ids=["c0", "ce"])
+@pytest.mark.parametrize("raw", [LARGE_C0, LARGE_CE, HUGE_CE], ids=["c0", "ce", "huge-ce"])
 def test_dr_demos_refuse_members_above_the_cap(capsys, tmp_path, command, raw):
     path = tmp_path / "oracle.json"
     path.write_text(json.dumps(raw))
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, command, "--oracle", str(path))
+    assert time.perf_counter() - start < 1
     assert code == 1
     assert out == "" and "Traceback" not in err
     assert "usage error" in err and f"member cap of 2^{cli.MAX_MEMBER_BITS}" in err
@@ -562,3 +567,63 @@ def test_oracle_file_demos_keep_the_exit_code_contract(tmp_path_factory, raw, e_
             code = cli.main(argv)
         assert code in (0, 1, 2), (argv, raw)
         assert "Traceback" not in err.getvalue(), (argv, raw)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed convert text
+
+CONVERT_DOMAIN = 4  # thresholds(2)
+
+
+@st.composite
+def sample_and_query_texts(draw):
+    """--sample and --query text over domain 4, and whether both are well
+    formed: pairs "x:y" and instances x in the domain with labels 0 or 1,
+    now and then a stray separator, a non-integer, a label outside {0, 1}
+    or an instance outside the domain."""
+    good = True
+
+    def rare() -> bool:
+        nonlocal good
+        hit = draw(st.integers(0, 9)) == 9
+        good &= not hit
+        return hit
+
+    def instance() -> str:
+        if rare():
+            return draw(st.sampled_from(["-1", "4", "9", str(10 ** 30), "", "a", "1.5", "0x1"]))
+        return str(draw(st.integers(0, CONVERT_DOMAIN - 1)))
+
+    def pair() -> str:
+        x, y = instance(), draw(st.sampled_from("01"))
+        if rare():
+            y = draw(st.sampled_from(["2", "-1", "", "b", "1.0"]))
+        if rare():
+            return draw(st.sampled_from([x, f"{x}:{y}:{y}", f"{x}{y}", f"{x}:", f":{y}"]))
+        return f"{x}:{y}"
+
+    def joined(parts: list[str]) -> str:
+        text = ",".join(parts)
+        if rare():
+            spot = draw(st.integers(0, len(text)))
+            text = text[:spot] + draw(st.sampled_from([",", ",,", ";", ":", " "])) + text[spot:]
+        return text
+
+    sample = joined([pair() for _ in range(draw(st.integers(0, 4)))]) or "-"
+    query = joined([instance() for _ in range(draw(st.integers(0, 3)))])
+    return sample, query, good
+
+
+@settings(max_examples=200, deadline=None)
+@given(sample_and_query_texts(), st.sampled_from(["sol", "const1", "conservative"]))
+def test_convert_text_flags_keep_the_exit_code_contract(texts, learner):
+    sample, query, good = texts
+    argv = ["convert", "--builder", "thresholds", "--d", "2", "--learner", learner,
+            f"--sample={sample}", f"--query={query}"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if good:
+        assert code == 0, (argv, err.getvalue())

@@ -3,21 +3,19 @@ from hypothesis import given, settings, strategies as st
 
 import reference_families as reference
 from littlelab.budget import FuelExhaustedError
-from littlelab.classes import FiniteClass
 from littlelab.core import Sample, canonical_index
-from littlelab.families import (BlockPosition, IndexedClass,
+from littlelab.families import (MAX_MEMBER_BITS, BlockPosition, IndexedClass,
                                 adversarial_family, block_position,
                                 diagonal_forcing_sample, diagonal_label,
                                 dimension_witness_from_thresholds,
                                 extended_block_supports,
                                 extended_family_decider, find_thresholds,
-                                pair_block_family, s1, s2, stage_hypothesis,
-                                triple_block_family, two_tier_block_supports,
-                                two_tier_family_decider)
+                                s1, s2, stage_hypothesis, triple_block_family,
+                                two_tier_block_supports, two_tier_family_decider)
 from littlelab.game import Horizon, mistake_bound, mistakes_on_sample
-from littlelab.learners import b_triple_blocks, relabeled, toy_learner
+from littlelab.learners import b_triple_blocks, toy_learner
 from littlelab.littlestone import ldim, verify_shattered_tree
-from littlelab.machine import CONST0_INDEX, HaltsAnswer, TableOracle
+from littlelab.machine import CONST0_INDEX, TableOracle
 
 ORACLE = TableOracle({(0, 0): 0, (0, 1): 1, (1, 0): 0, (2, 2): 0, (2, 0): 1})
 # Self-halting: e=0 (value irrelevant here: (0,0) is self input), e=2.
@@ -42,7 +40,8 @@ def test_indexed_class_round_trip():
 
 def test_triple_block_family_slots():
     family = triple_block_family(ORACLE, 3)
-    assert family.absent_slots() == [4, 5]  # program 1 lacks the upper tiers
+    # Program 1 lacks the upper tiers.
+    assert [i for i in range(9) if family.generator(i) is None] == [4, 5]
     truncation = family.truncation(9)
     assert ldim(truncation) == 2
     # Block 0 contributes all three supports, block 1 only the base.
@@ -56,12 +55,6 @@ def test_triple_block_learner_bound():
     truncation = triple_block_family(ORACLE, 3).truncation(9)
     bound = mistake_bound(b_triple_blocks(), truncation, Horizon(6))
     assert bound.value == 2
-
-
-def test_pair_block_family():
-    family = pair_block_family(ORACLE, 3)
-    assert family.domain_size == 6
-    assert family.rows == frozenset({0b000011, 0b000100, 0b110000})
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +109,10 @@ class LoggedOracle(TableOracle):
 
 
 @st.composite
-def oracle_tables(draw):
+def oracle_tables(draw, positions=st.integers(1, 3)):
     """Entries for programs e < 4 on inputs 0 and e, each sometimes absent,
-    with outputs 0-2 and certificate positions 1-3 (sometimes the table's
-    default, sometimes not found)."""
+    with outputs 0-2 and certificate positions drawn from `positions`
+    (sometimes the table's default, sometimes not found)."""
     halting, certificates, unknown = {}, {}, set()
     for e in range(4):
         for x in sorted({0, e}):
@@ -127,7 +120,7 @@ def oracle_tables(draw):
                 continue
             halting[(e, x)] = draw(st.integers(0, 2))
             if draw(st.booleans()):
-                certificates[(e, x)] = draw(st.integers(1, 3))
+                certificates[(e, x)] = draw(positions)
             if draw(st.integers(0, 7)) == 0:
                 unknown.add((e, x))
     return halting, certificates, unknown
@@ -182,6 +175,40 @@ def test_shape_tables_match_the_if_chains(table, drawn):
             code = canonical_index(candidate)
             assert _outcome(table, lambda o: decider(o)(code)) == _outcome(
                 table, lambda o: reference_decider(o)(code)), sorted(candidate)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_tables(positions=st.integers(1, 24)))
+def test_member_cap_refuses_exactly_the_supports_above_it(table):
+    # A truncation with every position known either is built whole, below
+    # the cap, or is refused; with unknown positions the budget error comes
+    # first unless a member above the cap is reached before it.
+    for supports, members, *_ in FAMILIES:
+        for e_list in ([0], [1], [2], [3], range(4)):
+            reference_call = lambda o: [s for e in e_list for s in members(o, e)]
+            expected = _outcome(table, reference_call)
+            whole = reference_call(TableOracle(*table[:2]))
+            oversize = any(max(s) >> MAX_MEMBER_BITS for s in whole)
+            try:
+                outcome = _outcome(table, lambda o: supports(o, e_list))
+            except ValueError as exc:
+                assert oversize and f"member cap of 2^{MAX_MEMBER_BITS};" in str(exc)
+                continue
+            assert outcome == expected
+            assert not oversize or isinstance(expected[0], tuple)  # the budget error
+
+
+def test_member_cap_sits_at_2_to_the_20():
+    # With P_e halting on 0 with output 2, block e's one support is
+    # {2**e, 2**e * 3**c0}: built for the largest c0 that keeps 2**e * 3**c0
+    # below 2**20, refused one position higher.
+    for e in range(4):
+        c0 = max(c for c in range(1, 20) if 2 ** e * 3 ** c < 2 ** MAX_MEMBER_BITS)
+        oracle = TableOracle({(e, 0): 2}, {(e, 0): c0})
+        assert extended_block_supports(oracle, [e]) == [{2 ** e, 2 ** e * 3 ** c0}]
+        oracle.certificates[(e, 0)] = c0 + 1
+        with pytest.raises(ValueError, match=f"2\\^{e} \\* 3\\^{c0 + 1}, at or above"):
+            extended_block_supports(oracle, [e])
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ from littlelab.classes import FiniteClass, hd_prime, singletons, thresholds
 from littlelab.core import Sample
 from littlelab.errors import NotRealizableError
 from littlelab import game
-from littlelab.game import (Horizon, is_anytime_optimal, is_optimal,
+from littlelab.game import (Horizon, _Explorer, is_anytime_optimal, is_optimal,
                             mistake_bound, mistakes_on_sample,
                             optimal_mistake_bound, optimal_post_sample_bound,
-                            post_sample_mistake_bound, realizable_samples)
+                            realizable_samples)
 from littlelab.learners import (conservative_learner, constant_learner, sol,
                                 threshold_fallback_learner)
 from littlelab.littlestone import ldim
@@ -62,20 +62,20 @@ def test_constant_learner_is_suboptimal_on_thresholds():
 def test_post_sample_bounds():
     H = thresholds(2)
     learner = sol(H)
-    empty = Sample()
-    assert post_sample_mistake_bound(learner, H, empty, Horizon(6)) == \
+    explorer = _Explorer(learner, H, Horizon(6))
+    assert explorer.future_mistakes(Sample())[0] == \
         mistake_bound(learner, H, Horizon(6)).value
     for sample in realizable_samples(H, 2):
         optimum = optimal_post_sample_bound(H, sample)
         assert optimum == ldim(H.restricted_to(H.version_space(sample)))
-        assert post_sample_mistake_bound(learner, H, sample, Horizon(6)) == optimum
+        assert explorer.future_mistakes(sample)[0] == optimum
 
 
 def test_unrealizable_samples_are_rejected():
     H = singletons(3)
     bad = Sample.of((0, 1), (1, 1))
     with pytest.raises(NotRealizableError):
-        post_sample_mistake_bound(sol(H), H, bad, Horizon(3))
+        _Explorer(sol(H), H, Horizon(3)).future_mistakes(bad)
     with pytest.raises(NotRealizableError):
         optimal_post_sample_bound(H, bad)
 

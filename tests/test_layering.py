@@ -1,5 +1,6 @@
 """Each module of the package uses only the public names of its siblings,
-and imports nothing from outside the package but the standard library.
+imports nothing from outside the package but the standard library, and
+defines no public name that only its own unit tests reference.
 
 A leading underscore marks a name as private to its module, so no other
 module of the package may import it (``from .game import _name``) or call it
@@ -29,8 +30,12 @@ def _source_module(node: ast.ImportFrom) -> str | None:
     return None
 
 
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), str(path))
+
+
 def private_uses(path: Path) -> list[str]:
-    tree = ast.parse(path.read_text(), str(path))
+    tree = _parse(path)
     modules = set()  # local names bound to sibling modules
     found = []
     for node in ast.walk(tree):
@@ -60,7 +65,7 @@ def outside_imports(path: Path) -> list[str]:
     """Imports of path that come neither from the package nor from the
     standard library."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(_parse(path)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and _source_module(node) is None:
@@ -77,3 +82,79 @@ def outside_imports(path: Path) -> list[str]:
 def test_modules_import_only_the_package_and_the_standard_library():
     found = [use for path in sorted(PACKAGE.glob("*.py")) for use in outside_imports(path)]
     assert not found, "\n".join(found)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def public_definitions(path: Path) -> list[tuple[str, str]]:
+    """(qualified name, name) for each public top-level function, class and
+    module constant of path, and each public method of its classes."""
+    found = []
+    for node in _parse(path).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, t.id) for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{item.name}", item.name)
+                      for item in node.body if isinstance(item, ast.FunctionDef)]
+    return [(f"{path.stem}.{qualified}", name) for qualified, name in found
+            if not name.startswith("_")]
+
+
+def references(path: Path, strings: bool) -> set[str]:
+    """Names path reads, attributes it reads, names it imports, and, if
+    strings, the last dotted part of each string constant it holds.  A
+    definition (``X = 1``) stores its name and so is not a reference."""
+    found = set()
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value.rpartition(".")[2])
+    return found
+
+
+def unused_public_names(modules, readers, string_readers) -> list[str]:
+    """The public names of modules that neither modules, readers nor the
+    strings of string_readers reference."""
+    used = set().union(*(references(path, strings=False) for path in [*modules, *readers]),
+                       *(references(path, strings=True) for path in string_readers))
+    return [qualified for path in modules
+            for qualified, name in public_definitions(path) if name not in used]
+
+
+def test_every_public_name_has_a_caller_outside_its_unit_tests():
+    """A public name of the package is read by the package itself, by the
+    benchmark harnesses or by the acceptance criteria; a name that only its
+    own unit tests call is dead weight."""
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    unused = unused_public_names(
+        modules, [ROOT / "tests" / "test_acceptance.py"],
+        [path for folder in ("labbench", "benchmarks")
+         for path in sorted((ROOT / folder).glob("*.py"))])
+    assert not unused, "\n".join(unused)
+
+
+def test_the_caller_guard_lists_unread_constants_functions_and_methods(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("READ = 1\nUNREAD: int = 2\nHOOKED = 3\n\n"
+                      "def f():\n    return READ\n\n"
+                      "class C:\n    def kept(self):\n        pass\n\n"
+                      "    def dropped(self):\n        pass\n\n"
+                      "def g():\n    pass\n")
+    reader = tmp_path / "reader.py"
+    reader.write_text("from mod import C, f\n\nf()\nC().kept()\n")
+    harness = tmp_path / "harness.py"
+    harness.write_text('HOOKS = {"mod.HOOKED": 1}\n')
+    assert unused_public_names([module], [reader], [harness]) == [
+        "mod.UNREAD", "mod.C.dropped", "mod.g"]
+    # Without the harness its string is no reference, and a reader's
+    # strings never count.
+    assert "mod.HOOKED" in unused_public_names([module], [reader, harness], [])

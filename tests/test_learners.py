@@ -19,7 +19,6 @@ from littlelab.learners import (b_extended_blocks, b_triple_blocks,
 from littlelab.littlestone import ldim
 from littlelab.machine import (CONST0_INDEX, CONST1_INDEX, DECJZ, TableOracle,
                                ToyProgram, index_of)
-from littlelab.significance import is_opt_significant
 
 
 # ---------------------------------------------------------------------------
@@ -150,22 +149,13 @@ def test_fallback_learner_gap_values():
 # ---------------------------------------------------------------------------
 # Budgeted significant-input predictor
 
-def test_sig_predictor_agrees_with_sol_on_significant_inputs():
-    H = hd_prime(2)
-    enumerable = EnumerableClass.embed_finite(H)
-    predictor = sig_predictor(enumerable, ldim(H))
-    reference = sol(H)
-    from littlelab.game import realizable_samples
-    for sample in realizable_samples(H, 1):
-        for x in H.domain():
-            if is_opt_significant(H, sample, x).significant:
-                assert predictor.predict(sample, x) == reference.predict(sample, x)
-
-
 def test_sig_predictor_fuel_exhaustion():
     enumerable = EnumerableClass.embed_finite(thresholds(2))
-    with pytest.raises(FuelExhaustedError):
-        sig_predictor(enumerable, 2, fuel=1).predict(Sample(), 0)
+    for fuel in (0, 1, 3):
+        with pytest.raises(FuelExhaustedError, match="^fuel exhausted$"):
+            sig_predictor(enumerable, 2, fuel=fuel).predict(Sample(), 0)
+    with pytest.raises(ValueError, match="fuel must be a natural"):
+        sig_predictor(enumerable, 2, fuel=-1).predict(Sample(), 0)
     with pytest.raises(ValueError):
         sig_predictor(enumerable, -1)
 

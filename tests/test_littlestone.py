@@ -1,11 +1,11 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from littlelab.budget import FuelExhaustedError
 from littlelab.classes import (EnumerableClass, FiniteClass, Hypothesis,
                                hd_prime, singletons, thresholds)
-from littlelab.littlestone import (ShatteredTree, enumerate_shattered_trees,
-                                   find_shattered_tree, ldim,
+from littlelab.littlestone import (ShatteredTree, find_shattered_tree, ldim,
                                    max_witness_depth, tree_enumerator,
                                    verify_shattered_tree)
 from conftest import seeded_classes
@@ -100,31 +100,23 @@ def test_find_shattered_tree_requires_positive_depth():
 
 def test_enumerator_finds_embedded_witness():
     E = EnumerableClass.embed_finite(thresholds(2))
-    result = enumerate_shattered_trees(E, 2, fuel=10_000)
-    assert isinstance(result, ShatteredTree)
-    assert verify_shattered_tree(thresholds(2), result, 2)
+    found = [item for item in islice(tree_enumerator(E, 2), 10_000) if item is not None]
+    assert len(found) == 1 and isinstance(found[0], ShatteredTree)
+    assert verify_shattered_tree(thresholds(2), found[0], 2)
 
 
 def test_enumerator_depth_zero_needs_one_hypothesis():
     E = EnumerableClass.embed_finite(singletons(2))
-    result = enumerate_shattered_trees(E, 0, fuel=1_000)
-    assert isinstance(result, ShatteredTree) and result.depth == 0
+    found = [item for item in islice(tree_enumerator(E, 0), 1_000) if item is not None]
+    assert found == [ShatteredTree((), 0)]
 
 
-def test_enumerator_fuel_exhaustion_is_an_outcome():
+def test_enumerator_certifies_nothing_above_the_dimension_or_below_zero():
     E = EnumerableClass.embed_finite(thresholds(2))
-    with pytest.raises(FuelExhaustedError, match="^fuel exhausted$"):
-        enumerate_shattered_trees(E, 2, fuel=3)
-    with pytest.raises(FuelExhaustedError, match="^fuel exhausted$"):
-        enumerate_shattered_trees(E, 2, fuel=0)
-    # Depth above the true dimension never certifies, only exhausts.
-    with pytest.raises(FuelExhaustedError, match="^fuel exhausted$"):
-        enumerate_shattered_trees(E, 3, fuel=2_000)
-    # At negative depth there is no witness to find, whatever the fuel.
-    with pytest.raises(FuelExhaustedError, match="negative depth"):
-        enumerate_shattered_trees(E, -1, fuel=2_000)
-    with pytest.raises(ValueError, match="fuel must be a natural"):
-        enumerate_shattered_trees(E, 2, fuel=-1)
+    # Depth above the true dimension never certifies, only ticks.
+    assert set(islice(tree_enumerator(E, 3), 2_000)) == {None}
+    # At negative depth there is no witness to find: the stream is empty.
+    assert list(tree_enumerator(E, -1)) == []
 
 
 def test_enumerator_skips_absent_slots():
@@ -136,8 +128,8 @@ def test_enumerator_skips_absent_slots():
         return None
 
     E = EnumerableClass(gen, 4)
-    result = enumerate_shattered_trees(E, 1, fuel=10_000)
-    assert isinstance(result, ShatteredTree) and result.depth == 1
+    found = [item for item in islice(tree_enumerator(E, 1), 10_000) if item is not None]
+    assert len(found) == 1 and found[0].depth == 1
 
 
 def test_tree_enumerator_yields_progress_ticks():

@@ -13,7 +13,7 @@ import reference_machine as reference
 from littlelab import machine
 from littlelab.budget import FuelExhaustedError
 from littlelab.machine import (CONST0_INDEX, CONST0_PROGRAM, CONST1_INDEX,
-                               CONST1_PROGRAM, DECJZ, HALT, INC, HaltsAnswer,
+                               CONST1_PROGRAM, DECJZ, HALT, HaltsAnswer,
                                Halted, MachineOracle, RUNNING, TableOracle,
                                ToyProgram, apply2, certificate_index,
                                enumerate_halting_computations,
@@ -149,21 +149,6 @@ def test_step_budget_validation():
         run(CONST0_PROGRAM, 0, -1)
     with pytest.raises(ValueError):
         enumerate_programs(-1)
-
-
-# ---------------------------------------------------------------------------
-# Program text format
-
-def test_program_text_round_trip():
-    program = ToyProgram(((INC, 2), (DECJZ, 1, 0), (HALT, 2)))
-    assert ToyProgram.from_text(program.to_text()) == program
-    with_comments = "INC 2  # bump\n\nDECJZ 1 0\nHALT 2\n"
-    assert ToyProgram.from_text(with_comments) == program
-
-
-def test_program_text_parse_error_names_the_line():
-    with pytest.raises(ValueError, match="line 2"):
-        ToyProgram.from_text("INC 1\nFROB 3")
 
 
 # ---------------------------------------------------------------------------

@@ -128,19 +128,6 @@ def test_condition_a_detects_non_adversarial_instances():
     assert not condition_a_holds(singletons(2), Sample.of((0, 1)))
 
 
-def test_dimension1_sweep_on_singletons():
-    H = singletons(4)
-    report = verify_ldim1_all_significant(H, enumerated=4,
-                                          enumeration_budget=10,
-                                          max_sample_len=2)
-    assert report.precondition_ok
-    assert report.all_significant
-    assert report.inputs_checked > 0
-    # Two-row version spaces are unreachable in the un-truncated class and
-    # are pruned rather than reported as failures.
-    assert report.truncation_artifacts > 0
-
-
 def test_dimension1_sweep_flags_bad_preconditions():
     report = verify_ldim1_all_significant(thresholds(2), enumerated=4,
                                           enumeration_budget=4,
