@@ -54,9 +54,8 @@ class FiniteClass:
     def __post_init__(self) -> None:
         if self.domain_size < 0:
             raise ValueError("domain size must be a natural")
-        mask = (1 << self.domain_size) - 1
         for row in self.rows:
-            if row < 0 or row & ~mask:
+            if row < 0 or row >> self.domain_size:
                 raise ValueError(f"row {row:b} exceeds domain size {self.domain_size}")
         object.__setattr__(self, "sorted_rows", tuple(sorted(self.rows)))
 

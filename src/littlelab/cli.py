@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from .errors import PropertyViolation
 from .families import MAX_MEMBER_BITS
 from .game import Horizon
 from .littlestone import find_shattered_tree, ldim, max_witness_depth
-from .machine import HaltsAnswer, TableOracle
+from .machine import TableOracle
 
 
 def default_table_oracle() -> TableOracle:
@@ -54,6 +55,12 @@ def load_oracle(path: str | None) -> TableOracle:
 # rows, while singletons(1000) takes 0.15 s.
 MAX_ROWS = 128
 
+# The largest domain a class file may have.  A horizon-2 sol duel on a
+# 128-row file takes 0.9 s at domain 2^13, 1.9 s at 2^14 and 5.3 s at 2^15 in
+# a fresh process (random rows); at 2^14 `convert` takes 6.9 s and `pac-eval
+# --m 3 --trials 2` 10.6 s.  The builders reach domain 128.
+MAX_DOMAIN = 2 ** 14
+
 # The longest horizon `duel --horizon` accepts.  The game explorer recurses
 # once per round, below Python's default limit of 1,000 frames: a constant
 # learner on singletons(3) raised RecursionError at horizon 1,000 and runs
@@ -71,6 +78,9 @@ def build_class(args) -> FiniteClass:
         if len(H) > MAX_ROWS:
             raise UsageError(f"--file {args.file} has {len(H)} rows, above the cap "
                              f"of {MAX_ROWS} rows")
+        if H.domain_size > MAX_DOMAIN:
+            raise UsageError(f"--file {args.file} has domain size {H.domain_size}, above "
+                             f"the cap of {MAX_DOMAIN}")
         return H
     if args.builder == "singletons" and args.n > MAX_ROWS:
         raise UsageError(f"--builder singletons --n {args.n} gives {args.n} rows, "
@@ -109,7 +119,7 @@ def build_learner(name: str, H: FiniteClass):
             raise UsageError("fallback learner requires the hd-prime builder")
         return learners.threshold_fallback_learner(H, threshold_rows)
     if name.startswith("toy:"):
-        return learners.toy_learner(int(name.split(":", 1)[1]))
+        return learners.toy_learner(_digits(name.split(":", 1)[1]))
     raise UsageError(f"unknown learner {name!r}")
 
 
@@ -137,7 +147,7 @@ def _sample_text(sample: Sample) -> str:
 def _parse_sample(text: str) -> Sample:
     if not text or text == "-":
         return Sample()
-    return Sample.of(*(tuple(map(int, part.split(":"))) for part in text.split(",")))
+    return Sample.of(*(tuple(map(_digits, part.split(":"))) for part in text.split(",")))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +236,7 @@ def cmd_demo_rer_halt(args) -> list[tuple[str, object]]:
     for e in range(e_max):
         sample = Sample.of((3 * e, 1))
         verdict = significance.is_aopt_significant(truncation, sample, 3 * e + 1)
-        bit = int(oracle.halts(e, e).status == HaltsAnswer.YES)
+        bit = int(oracle.halts(e, e) is not None)
         expect(verdict.significant, f"block {e}: input not significant")
         expect(verdict.forced_prediction == bit,
                f"block {e}: forced prediction {verdict.forced_prediction} != {bit}")
@@ -270,9 +280,7 @@ def _check_dr_ext_truncation(oracle, indexed, e_max: int) -> None:
         raise UsageError(f"--e-max {e_max} gives a truncation of dimension {dim}, "
                          f"below the family's 2; {hint}")
     for e in range(e_max):
-        reply = oracle.halts(e, e)
-        if 2 ** e in indexed.naturals and reply.status == HaltsAnswer.YES \
-                and reply.value in (0, 1):
+        if 2 ** e in indexed.naturals and oracle.halts(e, e) in (0, 1):
             rest = H.ldim_of(H.version_space(((indexed.of_natural(2 ** e), 0),)))
             if rest < 2:
                 raise UsageError(f"--e-max {e_max}: outside block {e} the truncation "
@@ -300,9 +308,9 @@ def cmd_demo_dr_ext(args) -> list[tuple[str, object]]:
         verdict = significance.is_opt_significant(
             indexed.finite, sample, indexed.of_natural(query))
         reply = oracle.halts(e, e)
-        if reply.status == HaltsAnswer.YES and reply.value in (0, 1):
-            expect(verdict.significant and verdict.forced_prediction == 1 - reply.value,
-                   f"block {e}: expected forced {1 - reply.value}")
+        if reply in (0, 1):
+            expect(verdict.significant and verdict.forced_prediction == 1 - reply,
+                   f"block {e}: expected forced {1 - reply}")
             report.append((f"case_e{e}", f"significant:{verdict.forced_prediction}"))
         else:
             expect(not verdict.significant, f"block {e}: unexpectedly significant")
@@ -330,7 +338,7 @@ def cmd_demo_dr_halt(args) -> list[tuple[str, object]]:
         sample = indexed.reindex_sample(Sample.of((base, 1)))
         verdict = significance.is_aopt_significant(
             indexed.finite, sample, indexed.of_natural(query))
-        bit = int(oracle.halts(e, e).status != HaltsAnswer.YES)
+        bit = int(oracle.halts(e, e) is None)
         expect(verdict.significant and verdict.forced_prediction == bit,
                f"block {e}: expected forced {bit}")
         report.append((f"case_e{e}", f"significant:{verdict.forced_prediction}"))
@@ -369,7 +377,7 @@ def cmd_demo_init(args) -> list[tuple[str, object]]:
                          "depth floor(log2 k), and depth 0 shows none")
     try:
         witness = families.find_thresholds(args.k, args.step_cap, args.x_cap)
-    except RuntimeError as exc:
+    except FuelExhaustedError as exc:
         raise UsageError(f"{exc}; raise --step-cap or --x-cap") from exc
     expect(witness.verify(), "threshold witness failed verification")
     depth = (args.k).bit_length() - 1
@@ -395,7 +403,7 @@ def cmd_convert(args) -> list[tuple[str, object]]:
     sample = _parse_sample(args.sample)
     H.version_space(sample)  # rejects instances outside the class domain
     predictor = batch.online_to_batch(learner, sample)
-    queries = [int(q) for q in args.query.split(",")] if args.query else list(H.domain())
+    queries = [_digits(q) for q in args.query.split(",")] if args.query else list(H.domain())
     for x in queries:
         if not 0 <= x < H.domain_size:
             raise UsageError(f"instance {x} outside domain of size {H.domain_size}")
@@ -423,15 +431,24 @@ def cmd_pac_eval(args) -> list[tuple[str, object]]:
 # ---------------------------------------------------------------------------
 # Argument parsing
 
+def _digits(text: str) -> int:
+    """A natural number written in the digits 0-9 and nothing else: int()
+    alone also takes a sign, underscores, surrounding spaces and non-ASCII
+    digits."""
+    if not re.fullmatch("[0-9]+", text):
+        raise UsageError(f"expected a natural number in the digits 0-9, got {text!r}")
+    return int(text)
+
+
 def _natural(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a natural number, got {value}")
-    return value
+    try:
+        return _digits(text)
+    except UsageError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _natural(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value

@@ -31,7 +31,7 @@ from .budget import FuelExhaustedError
 from .classes import EnumerableClass, FiniteClass, Hypothesis
 from .core import Sample, decode_canonical, encode_sample
 from .littlestone import ShatteredTree, find_shattered_tree, verify_shattered_tree
-from .machine import HaltsAnswer, Halted, apply2, enumerate_programs, halting_steps
+from .machine import apply2, enumerate_programs, run
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +74,7 @@ def triple_block_family(oracle, e_max: int) -> EnumerableClass:
         e, k = divmod(i, 3)
         if k == 0:
             return Hypothesis.from_support({3 * e})
-        if oracle.halts(e, e).status != HaltsAnswer.YES:
+        if oracle.halts(e, e) is None:
             return None
         if k == 1:
             return Hypothesis.from_support({3 * e, 3 * e + 1})
@@ -154,7 +154,7 @@ def block_members(oracle, e: int, shapes: Sequence[Shape]) -> list[frozenset[int
     y**c > 2**c, so a position c >= MAX_MEMBER_BITS - e is refused before y
     is raised to it.
     """
-    if oracle.halts(e, 0).status != HaltsAnswer.YES:
+    if oracle.halts(e, 0) is None:
         return []
     base = 2 ** e
 
@@ -172,8 +172,7 @@ def block_members(oracle, e: int, shapes: Sequence[Shape]) -> list[frozenset[int
     members = []
     for at_0, at_e, output in shapes:
         if at_e:
-            if reply.status != HaltsAnswer.YES or (output is not None
-                                                    and reply.value != output):
+            if reply is None or (output is not None and reply != output):
                 continue
             if ce is None:
                 ce = certificate_position(oracle, e, e)
@@ -234,8 +233,7 @@ def family_decider(oracle, shapes: Sequence[Shape]) -> Callable[[int], int]:
             return 0
         if output is None:
             return 1
-        reply = oracle.halts(e, e)
-        return int(reply.status == HaltsAnswer.YES and reply.value == output)
+        return int(oracle.halts(e, e) == output)
 
     return decide
 
@@ -299,7 +297,7 @@ def _diagonal_label_cached(n: int, step_budget: int) -> tuple[int, bool]:
     history = Sample.of(*((m, _diagonal_label_cached(m, step_budget)[0])
                           for m in range(position.start, n)))
     result = apply2(position.learner_index, encode_sample(history), n, step_budget)
-    if isinstance(result, Halted):
+    if result is not None:
         return int(result.output == 0), True
     # Not halted within budget: the convergence indicator is taken as false,
     # flagged uncertain since more steps could flip it.
@@ -343,7 +341,7 @@ def stage_hypothesis(s: int) -> Hypothesis:
     """h_s(x) = 1 iff program x self-halts within s steps."""
 
     def evaluate(x: int) -> int:
-        return int(halting_steps(enumerate_programs(x), x, s) is not None)
+        return int(run(enumerate_programs(x), x, s) is not None)
 
     return Hypothesis(fn=evaluate)
 
@@ -377,13 +375,13 @@ def find_thresholds(k: int, step_cap: int = 10_000, x_cap: int = 5_000) -> Thres
         raise ValueError("k must be >= 1")
     timed: dict[int, int] = {}
     for x in range(x_cap):
-        steps = halting_steps(enumerate_programs(x), x, step_cap)
-        if steps is not None and steps not in timed:
-            timed[steps] = x
+        result = run(enumerate_programs(x), x, step_cap)
+        if result is not None and result.steps not in timed:
+            timed[result.steps] = x
         if len(timed) >= k:
             break
     if len(timed) < k:
-        raise RuntimeError(
+        raise FuelExhaustedError(
             f"only {len(timed)} distinct self-halting times within caps")
     chosen = sorted(timed)[:k]
     return ThresholdWitness(tuple(timed[s] for s in chosen), tuple(chosen))

@@ -183,12 +183,11 @@ def realizable_samples(H: FiniteClass, max_len: int):
 
 
 def is_anytime_optimal(learner, H: FiniteClass, horizon: Horizon,
-                       check_depth: int | None = None) -> Verdict:
+                       check_depth: int) -> Verdict:
     """Optimality after every realizable prefix up to check_depth."""
-    depth = horizon.t_max if check_depth is None else check_depth
     explorer = _Explorer(learner, H, horizon)
     optimum_root = optimal_mistake_bound(H)
-    for sample in realizable_samples(H, depth):
+    for sample in realizable_samples(H, check_depth):
         achieved, _ = explorer.future_mistakes(sample)
         optimum = optimal_post_sample_bound(H, sample)
         if achieved > optimum:

@@ -23,7 +23,7 @@ from .core import Sample, encode_sample
 from .families import (EXTENDED_SHAPES, TWO_TIER_SHAPES, block_members,
                        certificate_position, factor_block_instance)
 from .littlestone import ShatteredTree, tree_enumerator
-from .machine import HaltsAnswer, apply2, Halted
+from .machine import apply2
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ def toy_learner(program_index: int, step_budget: int = 100_000) -> Learner:
 
     def predict(sample: Sample, x: int) -> int:
         result = apply2(program_index, encode_sample(sample), x, step_budget)
-        if not isinstance(result, Halted):
+        if result is None:
             raise FuelExhaustedError(
                 f"program {program_index} not halted within {step_budget} steps")
         return result.output
@@ -306,9 +306,9 @@ def b_extended_blocks(oracle) -> Learner:
         if y is not None:
             return frozenset({2 ** e, xt})
         reply = oracle.halts(e, e)
-        if reply.status == HaltsAnswer.YES and reply.value == 1:
+        if reply == 1:
             return frozenset({2 ** e, 2 ** e * 5 ** certificate_position(oracle, e, 0)})
-        if reply.status == HaltsAnswer.YES and reply.value == 0:
+        if reply == 0:
             # Matching the two-element {2^e, 2^e 13^ce} admits a third
             # mistake (after erring on (2^e 3^c0, 1) two candidates remain);
             # the member below keeps every second mistake target-determining.

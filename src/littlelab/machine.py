@@ -15,9 +15,13 @@ Every run goes through one step loop on a list of registers changed in place.
 It stops at once at a DECJZ r t with t its own position and register r zero:
 that step writes nothing and keeps pc, so each later step repeats it.  Every
 other step moves pc, so a one-step run that leaves pc where it was is at such
-a fixed point.  A fixed point can never halt, so run_trace returns Running as
+a fixed point.  A fixed point can never halt, so run_trace returns None as
 soon as it tries to step from one, and the dovetailer retires a program at its
 first step at the fixed point, as it retires a halted one.
+
+An answer the budget did not reach is None throughout: run and apply2 return
+Halted or None, run_trace a trace or None, and an oracle's halts(e, x) the
+output of P_e on x or None.
 
 The module also provides the effective enumeration of halting computations
 from a fixed input, halting certificates with a total verifier, and the
@@ -142,16 +146,6 @@ class Halted:
     steps: int
 
 
-class Running:
-    """Sentinel: not halted within the step budget."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "Running"
-
-
-RUNNING = Running()
-
-
 def _registers(program: ToyProgram, value: int, second: int | None = None) -> list[int]:
     regs = [0] * max(program.register_count, 2 if second is not None else 1)
     regs[0] = value
@@ -193,43 +187,39 @@ def _execute(code: tuple[Instruction, ...], pc: int, regs: list[int],
 
 
 def run(program: ToyProgram, value: int, step_budget: int,
-        second: int | None = None) -> Halted | Running:
-    """Deterministic small-step execution; Running means not halted in budget."""
+        second: int | None = None) -> Halted | None:
+    """Deterministic small-step execution; None means not halted in budget."""
     if step_budget < 0:
         raise ValueError("step budget must be a natural")
     regs = _registers(program, value, second)
     pc, steps = _execute(program.instructions, 0, regs, step_budget)
     if pc >= len(program.instructions):
         return Halted(regs[0], steps)
-    return RUNNING
+    return None
 
 
-def run_trace(program: ToyProgram, value: int, step_budget: int,
-              second: int | None = None) -> tuple[Config, ...] | Running:
-    """Full configuration trace from initial to halting configuration.
+def run_trace(program: ToyProgram, value: int, step_budget: int) -> tuple[Config, ...] | None:
+    """Full configuration trace from initial to halting configuration, or
+    None when the run does not halt within step_budget steps.
 
-    A fixed point can only end Running, so the trace stops at its first step
-    there: the one step that leaves pc unchanged.
+    A fixed point can never halt, so the trace stops at its first step there:
+    the one step that leaves pc unchanged.
     """
     code = program.instructions
-    pc, regs = 0, _registers(program, value, second)
+    pc, regs = 0, _registers(program, value)
     trace = [(pc, tuple(regs))]
     while pc < len(code) and len(trace) <= step_budget:
         step_pc = _execute(code, pc, regs, 1)[0]
         if step_pc == pc:
-            return RUNNING
+            return None
         pc = step_pc
         trace.append((pc, tuple(regs)))
-    return tuple(trace) if pc >= len(code) else RUNNING
+    return tuple(trace) if pc >= len(code) else None
 
 
-def halting_steps(program: ToyProgram, value: int, step_budget: int) -> int | None:
-    result = run(program, value, step_budget)
-    return result.steps if isinstance(result, Halted) else None
-
-
-def apply2(e: int, a: int, b: int, step_budget: int) -> Halted | Running:
-    """Program e as a two-place function: arguments in registers 0 and 1."""
+def apply2(e: int, a: int, b: int, step_budget: int) -> Halted | None:
+    """Program e as a two-place function: arguments in registers 0 and 1.
+    None means not halted within step_budget steps."""
     return run(enumerate_programs(e), a, step_budget, second=b)
 
 
@@ -350,7 +340,7 @@ def enumerate_halting_computations(x: int, i: int, *, search_cap: int = 500_000)
     for found, (e, program, s) in enumerate(_halting_computations(x, search_cap), start=1):
         if found == i:
             trace = run_trace(program, x, s)
-            assert not isinstance(trace, Running)
+            assert trace is not None
             return HaltingCertificate(e, x, trace)
     raise FuelExhaustedError(f"certificate {i} for input {x} not found within search cap")
 
@@ -368,7 +358,7 @@ def p_cert(e: int, i: int, x: int, *, search_cap: int = 500_000) -> int:
         return 0
     program = enumerate_programs(e)
     trace = run_trace(program, x, certificate.steps)
-    return int(not isinstance(trace, Running) and trace == certificate.trace)
+    return int(trace == certificate.trace)
 
 
 def certificate_index(e: int, x: int, budget: int) -> int | None:
@@ -386,33 +376,22 @@ def certificate_index(e: int, x: int, budget: int) -> int | None:
 # ---------------------------------------------------------------------------
 # Halting oracles
 
-class HaltsAnswer:
-    YES = "yes"
-    NO = "no"
-    UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class OracleReply:
-    status: str
-    value: int | None = None
-
-
 class MachineOracle:
-    """Budgeted real-machine oracle: yes within the step budget, else unknown."""
+    """Budgeted real-machine oracle: it certifies a run that halts within the
+    step budget and knows nothing of the rest."""
 
     def __init__(self, step_budget: int, dovetail_budget: int = 200_000):
         self.step_budget = step_budget
         self.dovetail_budget = dovetail_budget
 
-    def halts(self, e: int, x: int) -> OracleReply:
+    def halts(self, e: int, x: int) -> int | None:
+        """P_e's output on x, or None when the run does not halt within the
+        step budget: unknown, since more steps could make it halt."""
         result = run(enumerate_programs(e), x, self.step_budget)
-        if isinstance(result, Halted):
-            return OracleReply(HaltsAnswer.YES, result.output)
-        return OracleReply(HaltsAnswer.UNKNOWN)
+        return None if result is None else result.output
 
     def certificate_index(self, e: int, x: int) -> int | None:
-        if self.halts(e, x).status != HaltsAnswer.YES:
+        if self.halts(e, x) is None:
             return None
         return certificate_index(e, x, self.dovetail_budget)
 
@@ -434,10 +413,10 @@ class TableOracle:
         self.halting = dict(halting or {})
         self.certificates = dict(certificates or {})
 
-    def halts(self, e: int, x: int) -> OracleReply:
-        if (e, x) in self.halting:
-            return OracleReply(HaltsAnswer.YES, self.halting[(e, x)])
-        return OracleReply(HaltsAnswer.NO)
+    def halts(self, e: int, x: int) -> int | None:
+        """P_e's output on x, or None when the pair is not in the table:
+        P_e diverges on x."""
+        return self.halting.get((e, x))
 
     def certificate_index(self, e: int, x: int) -> int | None:
         if (e, x) not in self.halting:

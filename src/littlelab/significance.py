@@ -255,7 +255,7 @@ class SweepReport:
 
 def verify_ldim1_all_significant(truncation: FiniteClass, *,
                                  enumerated: int, enumeration_budget: int,
-                                 max_sample_len: int = 4) -> SweepReport:
+                                 max_sample_len: int) -> SweepReport:
     """For a truncation of an infinite dimension-1 class, every realizable
     (sample, instance) pair should be significant for optimal learning.
 

@@ -14,19 +14,18 @@ from typing import Callable
 
 from littlelab.core import decode_canonical
 from littlelab.families import _decompose_support, certificate_position
-from littlelab.machine import HaltsAnswer
 
 
 def extended_block_members(oracle, e: int) -> list[frozenset[int]]:
     """All supports the extended halting-support family places in block e."""
-    if oracle.halts(e, 0).status != HaltsAnswer.YES:
+    if oracle.halts(e, 0) is None:
         return []
     c0 = certificate_position(oracle, e, 0)
     members = [frozenset({2 ** e, 2 ** e * 3 ** c0})]
     reply = oracle.halts(e, e)
-    if reply.status == HaltsAnswer.YES and reply.value in (0, 1):
+    if reply in (0, 1):
         ce = certificate_position(oracle, e, e)
-        if reply.value == 1:
+        if reply == 1:
             members.append(frozenset({2 ** e, 2 ** e * 5 ** c0, 2 ** e * 7 ** ce}))
             members.append(frozenset({2 ** e, 2 ** e * 5 ** c0, 2 ** e * 11 ** ce}))
         else:
@@ -37,11 +36,11 @@ def extended_block_members(oracle, e: int) -> list[frozenset[int]]:
 
 def two_tier_block_members(oracle, e: int) -> list[frozenset[int]]:
     """All supports the two-tier halting-support family places in block e."""
-    if oracle.halts(e, 0).status != HaltsAnswer.YES:
+    if oracle.halts(e, 0) is None:
         return []
     c0 = certificate_position(oracle, e, 0)
     members = [frozenset({2 ** e, 2 ** e * 3 ** c0})]
-    if oracle.halts(e, e).status == HaltsAnswer.YES:
+    if oracle.halts(e, e) is not None:
         ce = certificate_position(oracle, e, e)
         members.append(frozenset({2 ** e, 2 ** e * 5 ** c0, 2 ** e * 7 ** ce}))
         members.append(frozenset({2 ** e, 2 ** e * 5 ** c0, 2 ** e * 11 ** ce}))
@@ -73,10 +72,10 @@ def extended_family_decider(oracle) -> Callable[[int], int]:
         if not (oracle.cert_matches(e, i, 0) and oracle.cert_matches(e, j, e)):
             return 0
         reply = oracle.halts(e, e)
-        if reply.status != HaltsAnswer.YES or reply.value not in (0, 1):
+        if reply not in (0, 1):
             return 0
         has_13 = 13 in primes
-        return int((reply.value == 0) == has_13)
+        return int((reply == 0) == has_13)
 
     return decide
 

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from littlelab.machine import (DECJZ, INC, RUNNING, Config, Halted,
-                               HaltingCertificate, Running, ToyProgram,
-                               enumerate_programs)
+from littlelab.machine import (DECJZ, INC, Config, Halted, HaltingCertificate,
+                               ToyProgram, enumerate_programs)
 
 
 def _initial_config(program: ToyProgram, value: int, second: int | None = None) -> Config:
@@ -51,8 +50,8 @@ def _is_terminal(program: ToyProgram, config: Config) -> bool:
 
 
 def run(program: ToyProgram, value: int, step_budget: int,
-        second: int | None = None) -> Halted | Running:
-    """Deterministic small-step execution; Running means not halted in budget."""
+        second: int | None = None) -> Halted | None:
+    """Deterministic small-step execution; None means not halted in budget."""
     if step_budget < 0:
         raise ValueError("step budget must be a natural")
     config = _initial_config(program, value, second)
@@ -62,13 +61,13 @@ def run(program: ToyProgram, value: int, step_budget: int,
         if steps == step_budget:
             break
         config = _step(program, config)
-    return RUNNING
+    return None
 
 
-def run_trace(program: ToyProgram, value: int, step_budget: int,
-              second: int | None = None) -> tuple[Config, ...] | Running:
-    """Full configuration trace from initial to halting configuration."""
-    config = _initial_config(program, value, second)
+def run_trace(program: ToyProgram, value: int, step_budget: int) -> tuple[Config, ...] | None:
+    """Full configuration trace from initial to halting configuration, or
+    None when the run does not halt within step_budget steps."""
+    config = _initial_config(program, value)
     trace = [config]
     for _ in range(step_budget):
         if _is_terminal(program, config):
@@ -77,7 +76,7 @@ def run_trace(program: ToyProgram, value: int, step_budget: int,
         trace.append(config)
     if _is_terminal(program, config):
         return tuple(trace)
-    return RUNNING
+    return None
 
 
 def _dovetail_pairs() -> Iterator[tuple[int, int]]:
@@ -107,7 +106,7 @@ def enumerate_halting_computations(x: int, i: int, *, search_cap: int = 500_000)
             found += 1
             if found == i:
                 trace = run_trace(program, x, s)
-                assert not isinstance(trace, Running)
+                assert trace is not None
                 return HaltingCertificate(e, x, trace)
     raise AssertionError("unreachable")
 

@@ -28,8 +28,7 @@ from littlelab.learners import (b_extended_blocks, b_triple_blocks, relabeled,
                                 toy_learner)
 from littlelab.littlestone import (find_shattered_tree, ldim,
                                    max_witness_depth, verify_shattered_tree)
-from littlelab.machine import (CONST0_INDEX, CONST1_INDEX, HaltsAnswer,
-                               enumerate_programs, index_of)
+from littlelab.machine import CONST0_INDEX, CONST1_INDEX, enumerate_programs, index_of
 from littlelab.significance import (brute_force_aopt_significant,
                                     brute_force_opt_significant,
                                     check_condition_equivalence,
@@ -135,7 +134,7 @@ def test_criterion_07_forced_predictions_mirror_halting_bits():
     for e in range(e_max):
         verdict = is_aopt_significant(truncation, Sample.of((3 * e, 1)),
                                       3 * e + 1)
-        bit = int(oracle.halts(e, e).status == HaltsAnswer.YES)
+        bit = int(oracle.halts(e, e) is not None)
         assert verdict.significant
         assert verdict.forced_prediction == bit, (e, verdict)
     bound = mistake_bound(b_triple_blocks(), truncation,
@@ -174,9 +173,9 @@ def test_criterion_08_certificate_family_dimension_decider_and_cases():
         verdict = is_opt_significant(indexed.finite, sample,
                                      indexed.of_natural(query))
         reply = oracle.halts(e, e)
-        if reply.status == HaltsAnswer.YES and reply.value in (0, 1):
+        if reply in (0, 1):
             assert verdict.significant
-            assert verdict.forced_prediction == 1 - reply.value
+            assert verdict.forced_prediction == 1 - reply
             cases[e] = f"significant:{verdict.forced_prediction}"
         else:
             assert not verdict.significant

@@ -35,6 +35,10 @@ def test_finite_class_validation():
         FiniteClass(2, frozenset({4}))  # bit 2 outside domain {0,1}
     with pytest.raises(ValueError):
         FiniteClass(-1, frozenset())
+    with pytest.raises(ValueError):
+        FiniteClass(10 ** 12, frozenset({-1}))
+    # A row is checked by a shift, not against a domain_size-bit mask.
+    assert len(FiniteClass(10 ** 12, frozenset({1 << 40}))) == 1
 
 
 def test_row_strings_round_trip(tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from littlelab import cli
 from littlelab.classes import FiniteClass, from_file, hd_prime, singletons, to_file
 from littlelab.core import Sample
-from littlelab.machine import HaltsAnswer
 
 
 def run_cli(capsys, *argv):
@@ -34,7 +33,7 @@ def test_sample_text_round_trip():
 
 def test_default_oracle_has_mixed_bits():
     oracle = cli.default_table_oracle()
-    bits = {oracle.halts(e, e).status == HaltsAnswer.YES for e in range(9)}
+    bits = {oracle.halts(e, e) is not None for e in range(9)}
     assert bits == {True, False}
 
 
@@ -42,8 +41,8 @@ def test_load_oracle_reads_a_table_file(tmp_path):
     path = tmp_path / "oracle.json"
     path.write_text(json.dumps({"0,0": {"halts": 1}}))
     oracle = cli.load_oracle(str(path))
-    assert oracle.halts(0, 0).value == 1
-    assert oracle.halts(1, 1).status == HaltsAnswer.NO
+    assert oracle.halts(0, 0) == 1
+    assert oracle.halts(1, 1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +259,24 @@ def test_classes_at_the_row_cap_run(capsys, tmp_path):
         assert run_cli(capsys, "ldim", *argv)[0] == 0
 
 
+@pytest.mark.parametrize("domain_size", [10 ** 7, 10 ** 12])
+def test_class_file_above_the_domain_cap_is_refused_at_once(capsys, tmp_path, domain_size):
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps({"domain_size": domain_size, "hypotheses": []}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "duel", "--file", str(path), "--learner", "sol")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == "" and "Traceback" not in err
+    assert f"domain size {domain_size}" in err and f"cap of {cli.MAX_DOMAIN}" in err
+
+
+def test_class_files_at_the_domain_cap_run(capsys, tmp_path):
+    path = tmp_path / "class.json"
+    to_file(FiniteClass(cli.MAX_DOMAIN, frozenset({1, 1 << (cli.MAX_DOMAIN - 1)})), str(path))
+    assert run_cli(capsys, "ldim", "--file", str(path))[0] == 0
+
+
 def test_duel_horizon_above_the_cap_is_a_usage_error(capsys):
     argv = ("duel", "--builder", "singletons", "--n", "3", "--learner", "const1",
             "--horizon")
@@ -313,11 +330,12 @@ def test_fallback_learner_requires_matching_class(capsys, tmp_path):
 
 def test_fallback_learner_refuses_a_small_class_before_building_thresholds(
         capsys, tmp_path, monkeypatch):
-    # One row over domain 65,535 (d = 16) cannot hold the 65,536 threshold
-    # rows; building them first took about 2 s and 294 MiB of peak RSS.
+    # One row over domain 16,383 (d = 14, the widest file under the domain
+    # cap) cannot hold the 16,384 threshold rows; at domain 65,535 building
+    # them first took about 2 s and 294 MiB of peak RSS.
     monkeypatch.setattr(cli, "thresholds", lambda d: pytest.fail("thresholds built"))
     path = tmp_path / "wide.json"
-    to_file(FiniteClass(65_535, frozenset({1})), str(path))
+    to_file(FiniteClass(cli.MAX_DOMAIN - 1, frozenset({1})), str(path))
     code, out, err = run_cli(capsys, "duel", "--file", str(path), "--learner", "fallback")
     assert code == 1 and out == ""
     assert "fallback learner requires the hd-prime builder" in err
@@ -427,6 +445,23 @@ def test_convert_rejects_out_of_domain_query(capsys):
                              "--learner", "const1", "--query", "9")
     assert code == 1
     assert out == "" and "instance 9 outside domain of size 4" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("convert", "--builder", "thresholds", "--d", "2", "--sample=0_1:1", "--query=\u0663, 2 "),
+    ("convert", "--builder", "thresholds", "--d", "2", "--sample= 0:1"),
+    ("convert", "--builder", "thresholds", "--d", "2", "--query=1_1"),
+    ("convert", "--builder", "thresholds", "--d", "2", "--query=+1"),
+    ("duel", "--builder", "thresholds", "--learner", "sol", "--d", "1_0"),
+    ("duel", "--builder", "thresholds", "--learner", "toy:4_58"),
+    ("ldim", "--builder", "singletons", "--n", " 5"),
+    ("ldim", "--builder", "singletons", "--n", "\u0665"),
+])
+def test_integers_on_the_command_line_are_ascii_digits_only(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == "" and "Traceback" not in err
+    assert "expected a natural number in the digits 0-9" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -285,5 +285,5 @@ def test_dimension_witness_from_thresholds():
 def test_find_thresholds_validation():
     with pytest.raises(ValueError):
         find_thresholds(0)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(FuelExhaustedError, match="only 2 distinct self-halting times"):
         find_thresholds(4, step_cap=1, x_cap=3)

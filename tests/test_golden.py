@@ -26,8 +26,15 @@ they drive sol and the fallback learner through every split of hd_prime(4)
 and sol through singletons(64), whose ldim chain the last rule cuts.  The
 last one (``demo-hdprime-d5``) was captured before the game explorer stopped
 at the horizon's bound and the fallback learner's key dropped its seen set.
+The last two (``demo-init`` and ``demo-init-k8``) were captured before
+budgeted runs and oracle replies said "not known to halt" with None: they
+drive the threshold search and the stage hypotheses up to stage 2,105.
+
+Every subcommand has at least one case.  ``build`` is exempt, since it
+writes a file.
 """
 
+import argparse
 import json
 from pathlib import Path
 
@@ -44,3 +51,10 @@ def test_cli_output_is_unchanged(name, capsys):
     case = CASES[name]
     assert cli.main(case["argv"]) == case["exit"]
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
+
+
+def test_every_subcommand_has_a_golden():
+    subparsers, = (action for action in cli.make_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    covered = {case["argv"][0] for case in CASES.values()}
+    assert set(subparsers.choices) - {"build"} == covered
