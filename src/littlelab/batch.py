@@ -4,11 +4,20 @@ All probabilities and losses are exact rationals: a converted predictor's
 value at x is the average of the online learner's T predictions, and errors
 against finite distributions are computed term by term, so every comparison
 in the tests is exact rather than floating-point.
+
+The hot loops stay on integers.  The average is one `Fraction` of the
+integer sum of the predictions over T.  A draw takes r = randrange(10**9)
+and picks the first item whose cumulative weight c exceeds u = r / 10**9;
+since r is an integer, u >= c exactly when r >= ceil(c * 10**9), so the
+draw compares r with those integer thresholds and picks what the rational
+comparison picks.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -50,13 +59,17 @@ def online_to_batch(learner, sample: Sample) -> ProbabilisticHypothesis:
         states.append(learner.update(states[-1], x, y))
 
     def fn(x: int) -> Fraction:
-        return sum(Fraction(learner.decide(state, x)) for state in states) / len(states)
+        return Fraction(sum(learner.decide(state, x) for state in states), len(states))
 
     return ProbabilisticHypothesis(fn)
 
 
 # ---------------------------------------------------------------------------
 # Finite distributions
+
+# A draw's uniform variate is randrange(_DRAW_SCALE) / _DRAW_SCALE.
+_DRAW_SCALE = 10 ** 9
+
 
 @dataclass(frozen=True)
 class FiniteDistribution:
@@ -85,19 +98,13 @@ class FiniteDistribution:
 
     def draw(self, rng: random.Random, m: int) -> Sample:
         population = [item for item, _ in self.weights]
-        cumulative = []
+        thresholds = []
         acc = Fraction(0)
-        for _, w in self.weights:
+        for _, w in self.weights[:-1]:
             acc += w
-            cumulative.append(acc)
-        picks = []
-        for _ in range(m):
-            u = Fraction(rng.randrange(10 ** 9), 10 ** 9)
-            index = 0
-            while index < len(cumulative) - 1 and u >= cumulative[index]:
-                index += 1
-            picks.append(population[index])
-        return Sample.of(*picks)
+            thresholds.append(math.ceil(acc * _DRAW_SCALE))
+        return Sample.of(*(population[bisect_right(thresholds, rng.randrange(_DRAW_SCALE))]
+                           for _ in range(m)))
 
 
 def distribution_error(h, D: FiniteDistribution) -> Fraction:

@@ -67,9 +67,17 @@ MAX_DOMAIN = 2 ** 14
 # in 0.03 s at 500.
 MAX_HORIZON = 500
 
-# The largest d `demo-hdprime --d` accepts: its exhaustive games take about
-# 0.2 s at d = 4, 0.8 s at d = 5 and 5 s at d = 6 in a fresh process.
+# The largest d `demo-hdprime --d` accepts: its exhaustive games, the bound
+# and the anytime sweep on one explorer, take about 0.25 s at d = 5, 1.8 s at
+# d = 6 and 21 s at d = 7 in a fresh process on a 2-core host.
 MAX_HDPRIME_D = 6
+
+# The most (history, instance) inputs a `significance` sweep may decide.  The
+# sweep counts them as it goes, so the worst refused sweep runs this far: on
+# 128-row random class files at --max-len 1, 100,000 inputs took 9.6 s at
+# domain 512, 9.1 s at 4,096 and 10.4 s at 2^14 in a fresh process on a
+# 2-core host (the 16,385 inputs of --max-len 0 alone take 5.0 s at 2^14).
+MAX_SIGNIFICANCE_INPUTS = 100_000
 
 
 def build_class(args) -> FiniteClass:
@@ -185,6 +193,9 @@ def cmd_significance(args) -> list[tuple[str, object]]:
     count = 0
     for sample in game.realizable_samples(H, args.max_len):
         for x in range(H.domain_size):
+            if count == MAX_SIGNIFICANCE_INPUTS:
+                raise UsageError(f"the sweep has more than {MAX_SIGNIFICANCE_INPUTS} inputs "
+                                 f"(histories times instances), the cap; lower --max-len")
             aopt = significance.is_aopt_significant(H, sample, x)
             opt = significance.is_opt_significant(H, sample, x)
             key = f"S={_sample_text(sample)};x={x}"
@@ -202,7 +213,7 @@ def cmd_demo_hdprime(args) -> list[tuple[str, object]]:
         raise UsageError("the gap needs at least two extra instances (d >= 3)")
     if d > MAX_HDPRIME_D:
         raise UsageError(f"--d {d} is above the cap of {MAX_HDPRIME_D}: the exhaustive "
-                         f"games take about 5 s at d = 6 and grow steeply with d")
+                         f"games take about 2 s at d = 6 and 21 s at d = 7")
     H = hd_prime(d)
     extra = classes.hd_prime_extra_instances(d)
     learner_a = learners.threshold_fallback_learner(H, thresholds(d).rows)
@@ -213,10 +224,12 @@ def cmd_demo_hdprime(args) -> list[tuple[str, object]]:
     expect(a_errs == d - 1, f"fallback learner made {a_errs} != {d - 1} mistakes")
     expect(sol_errs == 1, f"sol made {sol_errs} != 1 mistakes")
     horizon = Horizon(2 * d + 2)
-    a_bound = game.mistake_bound(learner_a, H, horizon)
+    # One explorer: the anytime sweep starts at the root game the bound solved.
+    explorer = game.Explorer(learner_a, H)
+    a_bound = explorer.bound(horizon)
     expect(a_bound.value == d == game.optimal_mistake_bound(H),
            "fallback learner is not optimal at the class dimension")
-    verdict = game.is_anytime_optimal(learner_a, H, horizon, check_depth=2)
+    verdict = explorer.anytime(horizon, check_depth=2)
     expect(not verdict.positive and verdict.counterexample is not None,
            "fallback learner unexpectedly anytime optimal")
     return [("dimension", d),
@@ -447,6 +460,11 @@ def _natural(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _integer(text: str) -> int:
+    """A natural number, or one with a leading minus: seeds may be negative."""
+    return -_natural(text[1:]) if text.startswith("-") else _natural(text)
+
+
 def _positive(text: str) -> int:
     value = _natural(text)
     if value < 1:
@@ -568,7 +586,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--learner", default="sol")
     p.add_argument("--m", type=_natural, default=40)
     p.add_argument("--trials", type=_positive, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--epsilon", type=_epsilon, default="0.2")
     p.set_defaults(run=cmd_pac_eval)
 

@@ -17,6 +17,23 @@ most r - 1, once its best is r - 1 or more.  The best changes only on a
 strict improvement, so the first maximising step and its continuation are
 the ones the full loop keeps; both prunes leave every value, witness and
 written memo entry as they were, and only leave some entries unwritten.
+
+One `Explorer` serves every horizon and every starting sample of one
+(learner, class) pair: nothing in the memo key depends on the horizon, each
+entry holds the exact value, and its continuation is the first maximising
+step, a function of the key (equal keys predict and step alike).  So
+`is_optimal` runs its horizon and its horizon + 2 recheck on one memo, and a
+caller that wants a bound and an anytime sweep can share one too.  The memo
+lives as long as the explorer its caller holds.
+
+A node tries one instance per class of equivalent instances.  Two instances
+whose restricted columns (v & column) and `Learner.instance_key` agree give
+the same prediction and the same child keys and version spaces for both
+labels, so the later one adds nothing the earlier one did not: its value is
+equal, and the best changes only on a strict improvement.  Classes are met
+in ascending instance order, so the first maximising step, and with it the
+witness, does not move.  A learner without an `instance_key` keeps every
+instance in its own class.
 """
 
 from __future__ import annotations
@@ -62,35 +79,70 @@ def mistakes_on_sample(learner, sample: Sample) -> int:
     return mistakes
 
 
-class _Explorer:
-    """Depth-first worst case of a fixed learner against the exhaustive adversary."""
+class Explorer:
+    """Depth-first worst case of a fixed learner against the exhaustive
+    adversary, on one memo that serves every horizon and starting sample."""
 
-    def __init__(self, learner, H: FiniteClass, horizon: Horizon):
+    def __init__(self, learner, H: FiniteClass):
         self.learner = learner
         self.H = H
-        self.horizon = horizon
         self.memo: dict = {}
 
-    def future_mistakes(self, sample: Sample) -> tuple[int, tuple]:
-        """(max additional mistakes, adversarial continuation) from `sample`."""
+    def future_mistakes(self, sample: Sample, rounds: int) -> tuple[int, tuple]:
+        """(max additional mistakes, adversarial continuation) over the next
+        `rounds` rounds after `sample`."""
         v = self.H.version_space(sample)
         if not v:
             raise NotRealizableError(f"history {sample.items} is not realizable")
-        return self._explore(self.learner.state(sample), v, self.horizon.t_max)
-
-    def _explore(self, state, v: int, remaining: int) -> tuple[int, tuple]:
-        if remaining == 0:
+        state = self.learner.state(sample)
+        key = self.learner.key(state)
+        if rounds == 0:
             return 0, ()
+        found = self.memo.get((key, v, rounds))
+        return found if found is not None else self._explore(state, key, v, rounds)
+
+    def bound(self, horizon: Horizon) -> GameValue:
+        """Exact max of the learner's mistakes over realizable samples within
+        horizon, with a witness replayed against the learner."""
+        value, continuation = self.future_mistakes(Sample(), horizon.t_max)
+        witness = Sample.of(*continuation)
+        replayed = mistakes_on_sample(self.learner, witness)
+        if replayed != value:
+            raise PropertyViolation(
+                f"witness replay gives {replayed} mistakes, search reported {value}")
+        return GameValue(value, witness, horizon.t_max)
+
+    def anytime(self, horizon: Horizon, check_depth: int) -> Verdict:
+        """Optimality after every realizable prefix up to check_depth."""
+        H = self.H
+        optimum_root = optimal_mistake_bound(H)
+        for sample in realizable_samples(H, check_depth):
+            achieved, _ = self.future_mistakes(sample, horizon.t_max)
+            optimum = optimal_post_sample_bound(H, sample)
+            if achieved > optimum:
+                return Verdict(False, achieved, optimum, True, sample)
+        root_value, _ = self.future_mistakes(Sample(), horizon.t_max)
+        return Verdict(root_value == optimum_root, root_value, optimum_root, True, None)
+
+    def _explore(self, state, key, v: int, remaining: int) -> tuple[int, tuple]:
+        """Solve a node (remaining >= 1) that is not in the memo, and write its
+        entry.  A child's entry is looked up before the call, so a memo hit
+        costs no call."""
         learner = self.learner
-        key = learner.key(state)
-        memo_key = (key, v, remaining)
-        cached = self.memo.get(memo_key)
-        if cached is not None:
-            return cached
+        memo = self.memo
+        columns = self.H.columns
+        instance_key = learner.instance_key
+        visited = set()
         best, best_continuation = 0, ()
         for x in range(self.H.domain_size):
+            ones = v & columns[x]
+            if instance_key is not None:
+                # Only the first instance of each class is tried.
+                step_class = ones, instance_key(state, x)
+                if step_class in visited:
+                    continue
+                visited.add(step_class)
             prediction = learner.decide(state, x)
-            ones = v & self.H.columns[x]
             for y, sub in ((0, v ^ ones), (1, ones)):
                 if not sub:
                     continue
@@ -99,29 +151,25 @@ class _Explorer:
                 if correct and best >= remaining - 1:
                     continue
                 child = learner.update(state, x, y)
-                if correct and learner.key(child) == key:
+                child_key = learner.key(child)
+                if correct and child_key == key:
                     continue
-                sub_value, sub_cont = self._explore(child, sub, remaining - 1)
-                value = int(not correct) + sub_value
+                found = memo.get((child_key, sub, remaining - 1)) if remaining > 1 else (0, ())
+                if found is None:
+                    found = self._explore(child, child_key, sub, remaining - 1)
+                value = int(not correct) + found[0]
                 if value > best:
-                    best, best_continuation = value, ((x, y),) + sub_cont
+                    best, best_continuation = value, ((x, y),) + found[1]
                     if best == remaining:  # no step can score more
-                        self.memo[memo_key] = best, best_continuation
+                        memo[key, v, remaining] = best, best_continuation
                         return best, best_continuation
-        self.memo[memo_key] = best, best_continuation
+        memo[key, v, remaining] = best, best_continuation
         return best, best_continuation
 
 
 def mistake_bound(learner, H: FiniteClass, horizon: Horizon) -> GameValue:
     """Exact max of the learner's mistakes over realizable samples within horizon."""
-    explorer = _Explorer(learner, H, horizon)
-    value, continuation = explorer.future_mistakes(Sample())
-    witness = Sample.of(*continuation)
-    replayed = mistakes_on_sample(learner, witness)
-    if replayed != value:
-        raise PropertyViolation(
-            f"witness replay gives {replayed} mistakes, search reported {value}")
-    return GameValue(value, witness, horizon.t_max)
+    return Explorer(learner, H).bound(horizon)
 
 
 def optimal_post_sample_bound(H: FiniteClass, sample: Sample) -> int:
@@ -151,8 +199,9 @@ class Verdict:
 
 
 def is_optimal(learner, H: FiniteClass, horizon: Horizon) -> Verdict:
-    bound = mistake_bound(learner, H, horizon)
-    recheck = mistake_bound(learner, H, Horizon(horizon.t_max + 2))
+    explorer = Explorer(learner, H)
+    bound = explorer.bound(horizon)
+    recheck = explorer.bound(Horizon(horizon.t_max + 2))
     stabilized = recheck.value == bound.value
     optimum = optimal_mistake_bound(H)
     positive = stabilized and bound.value == optimum
@@ -185,12 +234,4 @@ def realizable_samples(H: FiniteClass, max_len: int):
 def is_anytime_optimal(learner, H: FiniteClass, horizon: Horizon,
                        check_depth: int) -> Verdict:
     """Optimality after every realizable prefix up to check_depth."""
-    explorer = _Explorer(learner, H, horizon)
-    optimum_root = optimal_mistake_bound(H)
-    for sample in realizable_samples(H, check_depth):
-        achieved, _ = explorer.future_mistakes(sample)
-        optimum = optimal_post_sample_bound(H, sample)
-        if achieved > optimum:
-            return Verdict(False, achieved, optimum, True, sample)
-    root_value, _ = explorer.future_mistakes(Sample())
-    return Verdict(root_value == optimum_root, root_value, optimum_root, True, None)
+    return Explorer(learner, H).anytime(horizon, check_depth)

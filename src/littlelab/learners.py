@@ -28,11 +28,23 @@ from .machine import apply2
 
 @dataclass(frozen=True)
 class Learner:
+    """A learner as a state machine (see the module docstring).
+
+    `instance_key(state, x)` lets the game explorer try one instance per
+    class of equivalent instances.  The contract: two instances x, x' with
+    equal ``v & columns[x]`` (v the version space of the history) and equal
+    `instance_key` get the same `decide` and, for each label, children with
+    the same `key`.  The default, None, puts every instance in its own
+    class.  sol declares a constant, since it reads x only through
+    ``v & columns[x]``.
+    """
+
     name: str
     init: Hashable
     update: Callable[[Hashable, int, int], Hashable]
     decide: Callable[[Hashable, int], int]
     key: Callable[[Hashable], Hashable] = lambda state: state
+    instance_key: Callable[[Hashable, int], Hashable] | None = None
 
     def state(self, sample: Iterable[tuple[int, int]]) -> Hashable:
         """The state after the history `sample`."""
@@ -89,7 +101,8 @@ def sol(H: FiniteClass) -> Learner:
             return int(ones == v)
         return int(H.ldim_of(ones) >= H.ldim_of(v ^ ones))
 
-    return Learner(f"sol[{n}]", H.version_space(()), update, decide)
+    return Learner(f"sol[{n}]", H.version_space(()), update, decide,
+                   instance_key=lambda v, x: None)
 
 
 def constant_learner(bit: int) -> Learner:
@@ -123,7 +136,9 @@ def threshold_fallback_learner(H: FiniteClass, fallback_rows: frozenset[int]) ->
     The state is (only extra positives so far, extras seen, sol's state).
     Once the flag is False it never turns back on and `decide` reads only
     sol's state, so the key drops to that bitset; a tuple key and an int key
-    never compare equal.
+    never compare equal.  Only an extra instance while the flag is on is
+    read beyond its column (through `seen` and the flag), so only such an
+    instance keeps a class of its own.
     """
     inner = sol(H)
     domain_mask = (1 << H.domain_size) - 1
@@ -148,7 +163,8 @@ def threshold_fallback_learner(H: FiniteClass, fallback_rows: frozenset[int]) ->
         return inner.decide(v, x)
 
     return Learner("threshold-fallback", (True, frozenset(), inner.init),
-                   update, decide, key=lambda state: state if state[0] else state[2])
+                   update, decide, key=lambda state: state if state[0] else state[2],
+                   instance_key=lambda state, x: x if state[0] and x in extras else None)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from littlelab.families import (IndexedClass, adversarial_family,
                                 extended_block_supports,
                                 extended_family_decider, find_thresholds, s2,
                                 triple_block_family)
-from littlelab.game import (Horizon, _Explorer, is_anytime_optimal,
+from littlelab.game import (Explorer, Horizon, is_anytime_optimal,
                             is_optimal, mistake_bound, mistakes_on_sample,
                             optimal_mistake_bound, optimal_post_sample_bound,
                             realizable_samples)
@@ -69,11 +69,11 @@ def test_criterion_03_post_sample_bounds_track_the_version_space():
     classes = seeded_classes(101, 20, max_domain=5, max_rows=12)
     for H in classes:
         horizon = Horizon(2 * max(ldim(H), 1) + 2)
-        explorer = _Explorer(sol(H), H, horizon)
+        explorer = Explorer(sol(H), H)
         for sample in realizable_samples(H, 3):
             optimum = optimal_post_sample_bound(H, sample)
             assert optimum == ldim(H.restricted_to(H.version_space(sample)))
-            achieved, _ = explorer.future_mistakes(sample)
+            achieved, _ = explorer.future_mistakes(sample, horizon.t_max)
             assert achieved == optimum, (H, sample.items)
     _ok(3, "post-history optima equal version-space dimensions (|S| <= 3, 20 classes)")
 

@@ -389,6 +389,25 @@ def test_significance_sweep(capsys):
     assert int(parse_tsv(out)["inputs"]) > 0
 
 
+def test_significance_sweep_stops_at_the_input_cap(capsys, monkeypatch):
+    # singletons(3) has 7 realizable histories of length at most 1: 21 inputs.
+    argv = ("significance", "--builder", "singletons", "--n", "3", "--max-len", "1")
+    monkeypatch.setattr(cli, "MAX_SIGNIFICANCE_INPUTS", 21)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and parse_tsv(out)["inputs"] == "21"
+    monkeypatch.setattr(cli, "MAX_SIGNIFICANCE_INPUTS", 20)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert "more than 20 inputs" in err and "--max-len" in err
+
+
+def test_pac_eval_takes_a_negative_seed(capsys):
+    args = ("pac-eval", "--builder", "thresholds", "--d", "2", "--m", "10", "--trials", "20")
+    code, out, _ = run_cli(capsys, *args, "--seed", "-3")
+    assert code == 0
+    assert run_cli(capsys, *args, "--seed=-3") == (0, out, "")
+
+
 def test_pac_eval_deterministic(capsys):
     args = ("pac-eval", "--builder", "thresholds", "--d", "2",
             "--m", "10", "--trials", "20", "--seed", "1")
@@ -431,6 +450,9 @@ def test_convert_rejects_out_of_domain_sample(capsys, learner):
     ("pac-eval", "--epsilon", "1/0"),
     ("pac-eval", "--epsilon", "1e999999999"),
     ("significance", "--max-len", "-1"),
+    ("pac-eval", "--seed", " 1_0"),
+    ("pac-eval", "--seed", "+1"),
+    ("pac-eval", "--seed", "\u0661"),
 ])
 def test_learner_command_bounds_are_checked_at_parse_time(capsys, argv):
     code, out, err = run_cli(capsys, argv[0], "--builder", "thresholds", *argv[1:])

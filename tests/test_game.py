@@ -1,5 +1,4 @@
 import dataclasses
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +7,7 @@ from littlelab.classes import FiniteClass, hd_prime, singletons, thresholds
 from littlelab.core import Sample
 from littlelab.errors import NotRealizableError
 from littlelab import game
-from littlelab.game import (Horizon, _Explorer, is_anytime_optimal, is_optimal,
+from littlelab.game import (Explorer, Horizon, is_anytime_optimal, is_optimal,
                             mistake_bound, mistakes_on_sample,
                             optimal_mistake_bound, optimal_post_sample_bound,
                             realizable_samples)
@@ -16,7 +15,8 @@ from littlelab.learners import (conservative_learner, constant_learner, sol,
                                 threshold_fallback_learner)
 from littlelab.littlestone import ldim
 from conftest import seeded_classes
-from reference_game import ReferenceExplorer
+from reference_game import (ReferenceExplorer, reference_is_anytime_optimal,
+                            reference_is_optimal, reference_mistake_bound)
 
 
 def test_horizon_validation():
@@ -62,20 +62,20 @@ def test_constant_learner_is_suboptimal_on_thresholds():
 def test_post_sample_bounds():
     H = thresholds(2)
     learner = sol(H)
-    explorer = _Explorer(learner, H, Horizon(6))
-    assert explorer.future_mistakes(Sample())[0] == \
+    explorer = Explorer(learner, H)
+    assert explorer.future_mistakes(Sample(), 6)[0] == \
         mistake_bound(learner, H, Horizon(6)).value
     for sample in realizable_samples(H, 2):
         optimum = optimal_post_sample_bound(H, sample)
         assert optimum == ldim(H.restricted_to(H.version_space(sample)))
-        assert explorer.future_mistakes(sample)[0] == optimum
+        assert explorer.future_mistakes(sample, 6)[0] == optimum
 
 
 def test_unrealizable_samples_are_rejected():
     H = singletons(3)
     bad = Sample.of((0, 1), (1, 1))
     with pytest.raises(NotRealizableError):
-        _Explorer(sol(H), H, Horizon(3)).future_mistakes(bad)
+        Explorer(sol(H), H).future_mistakes(bad, 3)
     with pytest.raises(NotRealizableError):
         optimal_post_sample_bound(H, bad)
 
@@ -160,14 +160,13 @@ def test_mistake_bound_is_the_worst_realizable_sample(case):
 @settings(max_examples=200, deadline=None)
 @given(learners_on_classes(max_horizon=5))
 def test_horizon_prunes_match_the_reference_explorer(case):
-    # Each learner keeps its own key; only the bound prunes differ.
+    # Each learner keeps its own key; only the bound prunes, the instance
+    # classes and the shared memo differ.
     learner, H, t = case
-    value, continuation = ReferenceExplorer(learner, H, Horizon(t)).future_mistakes(Sample())
+    value, continuation = ReferenceExplorer(learner, H).future_mistakes(Sample(), t)
     bound = mistake_bound(learner, H, Horizon(t))
     assert (bound.value, bound.witness) == (value, Sample.of(*continuation))
-    with mock.patch.object(game, "_Explorer", ReferenceExplorer):
-        reference = is_optimal(learner, H, Horizon(t))
-    assert is_optimal(learner, H, Horizon(t)) == reference
+    assert is_optimal(learner, H, Horizon(t)) == reference_is_optimal(learner, H, Horizon(t))
 
 
 _HD_PRIME_4 = hd_prime(4)
@@ -195,8 +194,47 @@ def test_explorer_stops_at_the_horizon_bound(learner, H, t, reference_entries, e
     # `reference_entries` is what the explorer wrote before the bound prunes
     # and the fallback learner's congruence key.
     whole_state = dataclasses.replace(learner, key=lambda state: state)
-    reference = ReferenceExplorer(whole_state, H, Horizon(t))
-    explorer = game._Explorer(learner, H, Horizon(t))
-    assert explorer.future_mistakes(Sample())[0] == reference.future_mistakes(Sample())[0]
+    reference = ReferenceExplorer(whole_state, H)
+    explorer = game.Explorer(learner, H)
+    assert explorer.future_mistakes(Sample(), t)[0] == reference.future_mistakes(Sample(), t)[0]
     assert len(reference.memo) == reference_entries
     assert len(explorer.memo) <= entries
+
+
+_HD_PRIME_3 = hd_prime(3)
+
+
+@st.composite
+def explorer_cases(draw):
+    kind = draw(st.sampled_from(["sol", "const0", "const1", "conservative", "fallback"]))
+    if kind == "fallback":
+        return threshold_fallback_learner(_HD_PRIME_3, thresholds(3).rows), _HD_PRIME_3
+    domain = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.frozensets(st.integers(min_value=0, max_value=(1 << domain) - 1),
+                              min_size=1, max_size=10))
+    H = FiniteClass(domain, rows)
+    if kind == "sol":
+        return sol(H), H
+    if kind == "conservative":
+        return conservative_learner(), H
+    return constant_learner(int(kind[-1])), H
+
+
+@settings(max_examples=60, deadline=None)
+@given(explorer_cases(), st.data())
+def test_one_explorer_matches_fresh_reference_explorers(case, data):
+    # The reference tries every instance on a fresh memo per horizon; the
+    # library's explorer tries one instance per class, and one explorer
+    # serves every horizon here, met in a drawn order.
+    learner, H = case
+    horizons = data.draw(st.permutations(range(1, ldim(H) + 4)))
+    shared = Explorer(learner, H)
+    for t in horizons:
+        horizon = Horizon(t)
+        reference = reference_mistake_bound(learner, H, horizon)
+        assert shared.bound(horizon) == reference
+        assert mistake_bound(learner, H, horizon) == reference
+        assert is_optimal(learner, H, horizon) == reference_is_optimal(learner, H, horizon)
+        for depth in (1, 2):
+            assert (is_anytime_optimal(learner, H, horizon, depth)
+                    == reference_is_anytime_optimal(learner, H, horizon, depth))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -271,7 +273,10 @@ def _key_violations(learner, H: FiniteClass, depth: int) -> list:
     """Group the (state, v) pairs reachable in at most `depth` realizable
     steps by (key, v).  The explorer's memo on (key, v, rounds) and its skip
     rule are exact only if the pairs of one group predict alike on every
-    instance and keep equal child keys after every feasible (x, y)."""
+    instance and keep equal child keys after every feasible (x, y).  Its one
+    step per class of equivalent instances is exact only if, in every
+    reachable state, instances with equal (v & column, instance_key) predict
+    alike and give equal child keys for both labels."""
     groups: dict = {}
     frontier = [(learner.init, H.version_space(()))]
     for level in range(depth + 1):
@@ -298,6 +303,19 @@ def _key_violations(learner, H: FiniteClass, depth: int) -> list:
                     if sub and (learner.key(learner.update(state, x, y))
                                 != learner.key(learner.update(first, x, y))):
                         violations.append((key, v, x, y))
+        if learner.instance_key is None:
+            continue
+        for state in states:
+            representative: dict = {}
+            for x in H.domain():
+                x0 = representative.setdefault(
+                    (v & H.columns[x], learner.instance_key(state, x)), x)
+                if learner.decide(state, x) != learner.decide(state, x0):
+                    violations.append((key, v, x0, x, "instance decide"))
+                for y in (0, 1):
+                    if (learner.key(learner.update(state, x, y))
+                            != learner.key(learner.update(state, x0, y))):
+                        violations.append((key, v, x0, x, y))
     return violations
 
 
@@ -325,3 +343,12 @@ def _congruence_cases():
 def test_learner_keys_are_congruences(learner, H):
     violations = _key_violations(learner, H, 3)
     assert not violations, f"{len(violations)} violations, first {violations[:3]}"
+
+
+def test_the_congruence_check_sees_a_wrong_instance_key():
+    # The conservative learner reads x itself, so one class for all
+    # instances of equal column breaks the contract; the instance-contract
+    # violations are the 5-tuples.
+    H = hd_prime(3)
+    merged = dataclasses.replace(conservative_learner(), instance_key=lambda seen, x: None)
+    assert any(len(violation) == 5 for violation in _key_violations(merged, H, 3))
