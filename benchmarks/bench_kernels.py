@@ -1,7 +1,9 @@
 """Time the Littlestone-dimension and game-value kernels.
 
-Runs ``littlelab.kernels`` on a small battery of classes and prints a timing
-table.  Every value is checked: against the known dimension where there is
+Runs ``littlelab.kernels`` through their one entry, a class's own memos
+(``ldim`` and ``optimal_mistake_bound`` on a fresh ``FiniteClass`` per
+repeat, so every timing starts cold), on a small battery of classes and
+prints a timing table.  Every value is checked: against the known dimension where there is
 one (thresholds(d) and hd_prime(d) have dimension d, singletons dimension 1),
 and the game value against the dimension.  The last two cases are ldim only.
 Usage:
@@ -15,8 +17,11 @@ import argparse
 import random
 import time
 
-from littlelab import kernels
-from littlelab.classes import hd_prime, singletons, thresholds
+from littlelab.classes import FiniteClass, hd_prime, singletons, thresholds
+from littlelab.game import optimal_mistake_bound
+from littlelab.littlestone import ldim
+
+KERNELS = {"ldim": ldim, "game value": optimal_mistake_bound}
 
 
 def battery() -> list[tuple[str, tuple[int, ...], int, int | None, bool]]:
@@ -42,8 +47,9 @@ def timed(fn, rows, domain, repeats):
     best = float("inf")
     value = None
     for _ in range(repeats):
+        H = FiniteClass(domain, frozenset(rows))
         start = time.perf_counter()
-        value = fn(rows, domain)
+        value = fn(H)
         best = min(best, time.perf_counter() - start)
     return value, best
 
@@ -57,11 +63,10 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     for case, rows, domain, known, with_game in battery():
-        kernel_names = ["ldim_masks"] + (["game_value_masks"] if with_game else [])
+        kernel_names = ["ldim"] + (["game value"] if with_game else [])
         values = []
         for kernel_name in kernel_names:
-            value, best = timed(getattr(kernels, kernel_name), rows, domain,
-                                args.repeats)
+            value, best = timed(KERNELS[kernel_name], rows, domain, args.repeats)
             values.append(value)
             print(f"{case:<24}{kernel_name:<18}{best:>12.6f}  {value}")
         if known is not None and values[0] != known:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -62,15 +63,13 @@ class Sample:
         return Sample(tuple(LabeledInstance(x, y) for x, y in pairs))
 
 
-def _primes(count: int) -> list[int]:
-    """First `count` primes by trial division (codes only involve small primes)."""
+def _primes() -> Iterator[int]:
+    """The primes in order, by trial division (codes only involve small primes)."""
     found: list[int] = []
-    candidate = 2
-    while len(found) < count:
+    for candidate in count(2):
         if all(candidate % p for p in found):
             found.append(candidate)
-        candidate += 1
-    return found
+            yield candidate
 
 
 def encode_sequence(z: Sequence[int] | Iterable[int]) -> int:
@@ -87,7 +86,7 @@ def encode_sequence(z: Sequence[int] | Iterable[int]) -> int:
         raise ValueError("sequence entries must be naturals")
     if not entries:
         return 1
-    odd = list(zip(_primes(len(entries))[1:], (v + 1 for v in entries[1:])))
+    odd = list(zip(islice(_primes(), 1, None), (v + 1 for v in entries[1:])))
     code = 1
     for bit in reversed(range(max((e for _, e in odd), default=0).bit_length())):
         factor = 1
@@ -104,9 +103,9 @@ def decode_sequence(code: int) -> tuple[int, ...]:
         raise NotInRangeError(f"codes are positive integers, got {code}")
     entries: list[int] = []
     rest = code
-    p = 2
-    primes_seen: list[int] = []
+    primes = _primes()
     while rest > 1:
+        p = next(primes)
         exponent = 0
         while rest % p == 0:
             rest //= p
@@ -115,10 +114,6 @@ def decode_sequence(code: int) -> tuple[int, ...]:
             # A later prime divides the code while this one does not: prime gap.
             raise NotInRangeError(f"{code} skips prime {p}; not a sequence code")
         entries.append(exponent - 1)
-        primes_seen.append(p)
-        p += 1
-        while any(p % q == 0 for q in primes_seen):
-            p += 1
     return tuple(entries)
 
 

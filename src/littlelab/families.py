@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 from .budget import FuelExhaustedError
 from .classes import EnumerableClass, FiniteClass, Hypothesis
-from .core import Sample, decode_canonical, encode_sample
+from .core import LabeledInstance, Sample, decode_canonical, encode_sample
 from .littlestone import ShatteredTree, find_shattered_tree, verify_shattered_tree
 from .machine import apply2, enumerate_programs, run
 
@@ -273,10 +273,6 @@ class BlockPosition:
         """One past the last member; the block row holds j + 1 instances."""
         return s2(self.i) + s1(self.j + 1)
 
-    @property
-    def learner_index(self) -> int:
-        return self.i - self.j
-
 
 def block_position(n: int) -> BlockPosition:
     if n < 0:
@@ -291,23 +287,32 @@ def block_position(n: int) -> BlockPosition:
     return BlockPosition(i, j)
 
 
-@lru_cache(maxsize=None)
-def _diagonal_label_cached(n: int, step_budget: int) -> tuple[int, bool]:
-    position = block_position(n)
-    history = Sample.of(*((m, _diagonal_label_cached(m, step_budget)[0])
-                          for m in range(position.start, n)))
-    result = apply2(position.learner_index, encode_sample(history), n, step_budget)
-    if result is not None:
-        return int(result.output == 0), True
-    # Not halted within budget: the convergence indicator is taken as false,
-    # flagged uncertain since more steps could flip it.
-    return 0, False
+@lru_cache(maxsize=16)
+def _diagonal_row(i: int, j: int, step_budget: int) -> tuple[tuple[int, bool], ...]:
+    """(label, certain) for each member of block row (i, j), left to right.
+
+    A member's label reads only the earlier members of its row, so the row is
+    one fold: machine-coded learner i - j runs on the code of the row's
+    labelled history so far and the member.
+    """
+    position = BlockPosition(i, j)
+    history: tuple[LabeledInstance, ...] = ()
+    row = []
+    for n in range(position.start, position.end):
+        result = apply2(i - j, encode_sample(Sample(history)), n, step_budget)
+        # Not halted within budget: the convergence indicator is taken as
+        # false, flagged uncertain since more steps could flip it.
+        label, certain = (int(result.output == 0), True) if result is not None else (0, False)
+        row.append((label, certain))
+        history += (LabeledInstance(n, label),)
+    return tuple(row)
 
 
 def diagonal_label(n: int, step_budget: int = 10_000) -> tuple[int, bool]:
     """Label L(n) = [machine-coded learner of this block row predicts 0 on
     the row's own history], with a certainty flag for the step budget."""
-    return _diagonal_label_cached(n, step_budget)
+    position = block_position(n)
+    return _diagonal_row(position.i, position.j, step_budget)[n - position.start]
 
 
 def adversarial_family(i_max: int, step_budget: int = 10_000) -> EnumerableClass:
@@ -317,9 +322,10 @@ def adversarial_family(i_max: int, step_budget: int = 10_000) -> EnumerableClass
 
     def gen(i: int) -> Hypothesis | None:
         def evaluate(n: int) -> int:
-            if block_position(n).i != i:
+            position = block_position(n)
+            if position.i != i:
                 return 0
-            return diagonal_label(n, step_budget)[0]
+            return _diagonal_row(i, position.j, step_budget)[n - position.start][0]
 
         return Hypothesis(fn=evaluate)
 
@@ -330,8 +336,8 @@ def diagonal_forcing_sample(e: int, M: int, step_budget: int = 10_000) -> Sample
     """The length-(M+1) realizable sample on which the machine-coded learner
     e errs every step: block row (i, j) = (M + e, M)."""
     position = BlockPosition(M + e, M)
-    return Sample.of(*((n, diagonal_label(n, step_budget)[0])
-                       for n in range(position.start, position.end)))
+    return Sample.of(*((n, label) for n, (label, _) in zip(
+        range(position.start, position.end), _diagonal_row(M + e, M, step_budget))))
 
 
 # ---------------------------------------------------------------------------

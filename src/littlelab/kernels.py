@@ -38,9 +38,9 @@ Four rules prune the recursions, and all are admissible:
   spaces, one row fewer at each step.
 
 The two recursions stay separate, so each checks the other.  Each writes the
-exact value of every version space it finishes into a memo its caller owns,
-so one memo per class serves every call (``FiniteClass.ldim_of`` and
-``game_value_of``).
+exact value of every version space it finishes into a memo its caller owns.
+``FiniteClass.ldim_of`` and ``game_value_of`` are the one entry to each: the
+class owns the memos, so one memo per class serves every call.
 """
 
 from __future__ import annotations
@@ -163,12 +163,3 @@ def game_value(v: int, splits: tuple[tuple[int, int], ...], memo: dict[int, int]
 
     return rec(v)
 
-
-def ldim_masks(rows: tuple[int, ...], domain_size: int) -> int:
-    full = (1 << len(rows)) - 1
-    return ldim(full, splits(columns(rows, domain_size), full), {})
-
-
-def game_value_masks(rows: tuple[int, ...], domain_size: int) -> int:
-    full = (1 << len(rows)) - 1
-    return game_value(full, splits(columns(rows, domain_size), full), {})

@@ -4,8 +4,10 @@ A Learner is a state machine: `init` is its state on the empty history,
 `update(state, x, y)` folds one labelled instance in, and `decide(state, x)`
 predicts.  A state is hashable; `key(state)` (the state itself by default)
 is what predictions depend on, and the game analysis memoises on it.  sol's
-state is the version-space bitset, the block learners' is their current
-hypothesis, and learners that read the whole history keep the items tuple.
+state is the version-space bitset, the fallback learner's is its key (the
+extras seen and sol's bitset, then the bitset alone), the block learners'
+key is their current hypothesis, and learners that read the whole history
+keep the items tuple.
 
 Learners over the machine-backed classes (the halting-support families) work
 on the true natural-number instances; `relabeled` adapts them to the compact
@@ -133,38 +135,40 @@ def threshold_fallback_learner(H: FiniteClass, fallback_rows: frozenset[int]) ->
     a non-extra step (or a 0 label) drops it back to plain sol, which handles
     every such prefix optimally.
 
-    The state is (only extra positives so far, extras seen, sol's state).
-    Once the flag is False it never turns back on and `decide` reads only
-    sol's state, so the key drops to that bitset; a tuple key and an int key
-    never compare equal.  Only an extra instance while the flag is on is
-    read beyond its column (through `seen` and the flag), so only such an
+    The state is the key.  While the history holds only positively labelled
+    extras it is (seen, v): the extras seen, which are the whole history, and
+    sol's state.  After that it is sol's bitset v alone, since `decide` then
+    reads only v and the history can never again consist solely of extras; a
+    tuple and an int never compare equal.  Only an extra instance in the
+    tuple form is read beyond its column (through `seen`), so only such an
     instance keeps a class of its own.
     """
     inner = sol(H)
-    domain_mask = (1 << H.domain_size) - 1
     fallback_union = 0
     for row in fallback_rows:
         fallback_union |= row
-    extras = frozenset(
-        x for x in range(H.domain_size)
-        if not (fallback_union >> x) & 1 and (domain_mask >> x) & 1)
+    extras = frozenset(x for x in range(H.domain_size) if not fallback_union >> x & 1)
+    # The explorer asks `instance_key` about every instance of the domain at
+    # every node; a tuple index is cheaper there than a set lookup.
+    is_extra = tuple(x in extras for x in range(H.domain_size))
 
     def update(state, x: int, y: int):
-        only_extra_positives, seen, v = state
-        return (only_extra_positives and x in extras and y == 1,
-                seen | {x} if x in extras else seen,
-                inner.update(v, x, y))
+        if isinstance(state, tuple):
+            seen, v = state
+            v = inner.update(v, x, y)
+            return (seen | {x}, v) if x in extras and y == 1 else v
+        return inner.update(state, x, y)
 
     def decide(state, x: int) -> int:
-        only_extra_positives, seen, v = state
-        # While the history holds only extras, `seen` is the whole history.
-        if only_extra_positives and x in extras and x not in seen:
-            return 0
-        return inner.decide(v, x)
+        if isinstance(state, tuple):
+            seen, state = state
+            if x in extras and x not in seen:
+                return 0
+        return inner.decide(state, x)
 
-    return Learner("threshold-fallback", (True, frozenset(), inner.init),
-                   update, decide, key=lambda state: state if state[0] else state[2],
-                   instance_key=lambda state, x: x if state[0] and x in extras else None)
+    return Learner("threshold-fallback", (frozenset(), inner.init), update, decide,
+                   instance_key=lambda state, x: (
+                       x if is_extra[x] and isinstance(state, tuple) else None))
 
 
 # ---------------------------------------------------------------------------

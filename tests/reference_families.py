@@ -1,19 +1,37 @@
-"""The certificate-block families as four if-chains.
+"""The certificate-block families as four if-chains, and the diagonal label
+as one recursion per instance.
 
-These are ``families.extended_block_members``, ``two_tier_block_members``,
-``extended_family_decider`` and ``two_tier_family_decider`` as they were
-before each family became one table of support shapes read by
-``block_members`` and ``family_decider``.  The agreement tests compare the
-tables' supports (in order), deciders, oracle queries and budget errors
+``extended_block_members``, ``two_tier_block_members``,
+``extended_family_decider`` and ``two_tier_family_decider`` are the
+families as they were before each became one table of support shapes read
+by ``block_members`` and ``family_decider``.  The agreement tests compare
+the tables' supports (in order), deciders, oracle queries and budget errors
 against them.
+
+``diagonal_label`` is ``families.diagonal_label`` as it was before each
+block row became one left-to-right fold: the label of n recursively derives
+the labels of the members before n in its row, with an unbounded cache.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
-from littlelab.core import decode_canonical
-from littlelab.families import _decompose_support, certificate_position
+from littlelab.core import Sample, decode_canonical, encode_sample
+from littlelab.families import _decompose_support, block_position, certificate_position
+from littlelab.machine import apply2
+
+
+@lru_cache(maxsize=None)
+def diagonal_label(n: int, step_budget: int) -> tuple[int, bool]:
+    position = block_position(n)
+    history = Sample.of(*((m, diagonal_label(m, step_budget)[0])
+                          for m in range(position.start, n)))
+    result = apply2(position.i - position.j, encode_sample(history), n, step_budget)
+    if result is not None:
+        return int(result.output == 0), True
+    return 0, False
 
 
 def extended_block_members(oracle, e: int) -> list[frozenset[int]]:

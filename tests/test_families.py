@@ -221,7 +221,9 @@ def test_block_geometry():
         position = block_position(n)
         assert position.start <= n < position.end
         assert position.end - position.start == position.j + 1
-        assert position.learner_index == position.i - position.j
+        # Row (i, j) is the forcing row of the learner coded i - j, M = j.
+        forcing = diagonal_forcing_sample(position.i - position.j, position.j, 1)
+        assert n in [x for x, _ in forcing]
     with pytest.raises(ValueError):
         block_position(-1)
 
@@ -241,6 +243,27 @@ def test_diagonal_labels_are_deterministic_and_flagged():
         label, certain = diagonal_label(n)
         assert label in (0, 1)
         assert diagonal_label(n) == (label, certain)
+
+
+def test_diagonal_rows_match_the_recursive_labels():
+    # One fold per row gives the labels and flags the per-instance recursion
+    # gave, on every row of blocks 0-6 and on the forcing rows of learners
+    # 0-29; budget 1 leaves some runs unhalted, so both flags occur.
+    flags = set()
+    for step_budget in (1, 3, 50, 10_000):
+        labels = [diagonal_label(n, step_budget) for n in range(s2(7))]
+        assert labels == [reference.diagonal_label(n, step_budget) for n in range(s2(7))]
+        flags.update(certain for _, certain in labels)
+        family = adversarial_family(7, step_budget)
+        assert [family.generator(block_position(n).i)(n) for n in range(s2(7))] == \
+            [label for label, _ in labels]
+        for e in range(30):
+            for M in range(3):
+                position = BlockPosition(M + e, M)
+                assert diagonal_forcing_sample(e, M, step_budget) == Sample.of(*(
+                    (n, reference.diagonal_label(n, step_budget)[0])
+                    for n in range(position.start, position.end)))
+    assert flags == {True, False}
 
 
 def test_adversarial_family_structure():

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -17,6 +15,7 @@ from littlelab.littlestone import ldim
 from conftest import seeded_classes
 from reference_game import (ReferenceExplorer, reference_is_anytime_optimal,
                             reference_is_optimal, reference_mistake_bound)
+import reference_learners
 
 
 def test_horizon_validation():
@@ -172,29 +171,62 @@ def test_horizon_prunes_match_the_reference_explorer(case):
 _HD_PRIME_4 = hd_prime(4)
 
 
+@st.composite
+def fallback_cases(draw, max_horizon=5):
+    domain = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.frozensets(st.integers(min_value=0, max_value=(1 << domain) - 1),
+                              min_size=1, max_size=8))
+    fallback_rows = draw(st.frozensets(st.sampled_from(sorted(rows))))
+    return (FiniteClass(domain, rows), fallback_rows,
+            draw(st.integers(min_value=1, max_value=max_horizon)))
+
+
 @settings(max_examples=150, deadline=None)
-@given(learners_on_classes(max_horizon=5))
-@example((threshold_fallback_learner(_HD_PRIME_4, thresholds(4).rows), _HD_PRIME_4, 5))
+@given(fallback_cases())
+@example((_HD_PRIME_4, thresholds(4).rows, 5))
 def test_fallback_key_keeps_the_values_of_the_whole_state_key(case):
-    # Under the coarser key a correct step that only changes `seen` after the
-    # flag drops is skipped, so the witness may be shorter; the value is not.
-    learner, H, t = case
-    whole_state = dataclasses.replace(learner, key=lambda state: state)
-    assert (mistake_bound(learner, H, Horizon(t)).value
+    # The three-field learner keyed on its whole state keeps `seen` after the
+    # flag drops, so the explorer takes some correct steps the library's
+    # learner skips and the witness may differ; the value may not.
+    H, fallback_rows, t = case
+    whole_state = reference_learners.whole_state(
+        reference_learners.threshold_fallback_learner(H, fallback_rows))
+    assert (mistake_bound(threshold_fallback_learner(H, fallback_rows), H, Horizon(t)).value
             == mistake_bound(whole_state, H, Horizon(t)).value)
 
 
-@pytest.mark.parametrize("learner, H, t, reference_entries, entries", [
+@pytest.mark.parametrize("d", [3, 4])
+def test_fallback_state_matches_the_three_field_learner(d):
+    # The state (seen, v), then v, is in bijection with the three-field
+    # learner's key, so one explorer on each writes as many memo entries and
+    # finds the same values, witnesses and verdicts at every horizon.
+    H = hd_prime(d)
+    learner = threshold_fallback_learner(H, thresholds(d).rows)
+    reference = reference_learners.threshold_fallback_learner(H, thresholds(d).rows)
+    for t in range(1, 2 * d + 3):
+        horizon = Horizon(t)
+        explorer, reference_explorer = Explorer(learner, H), Explorer(reference, H)
+        assert explorer.bound(horizon) == reference_explorer.bound(horizon)
+        assert len(explorer.memo) == len(reference_explorer.memo)
+        assert is_optimal(learner, H, horizon) == is_optimal(reference, H, horizon)
+        for depth in (1, 2):
+            assert (is_anytime_optimal(learner, H, horizon, depth)
+                    == is_anytime_optimal(reference, H, horizon, depth))
+
+
+@pytest.mark.parametrize("learner, reference_learner, H, t, reference_entries, entries", [
     pytest.param(threshold_fallback_learner(_HD_PRIME_4, thresholds(4).rows),
+                 reference_learners.threshold_fallback_learner(_HD_PRIME_4, thresholds(4).rows),
                  _HD_PRIME_4, 10, 6_904, 1_010, id="fallback-hd_prime4"),
-    pytest.param(constant_learner(1), singletons(3), 500, 2_992, 500,
+    pytest.param(constant_learner(1), constant_learner(1), singletons(3), 500, 2_992, 500,
                  id="const1-singletons3"),
 ])
-def test_explorer_stops_at_the_horizon_bound(learner, H, t, reference_entries, entries):
+def test_explorer_stops_at_the_horizon_bound(learner, reference_learner, H, t,
+                                             reference_entries, entries):
     # `reference_entries` is what the explorer wrote before the bound prunes
-    # and the fallback learner's congruence key.
-    whole_state = dataclasses.replace(learner, key=lambda state: state)
-    reference = ReferenceExplorer(whole_state, H)
+    # and the fallback learner's congruence key, on the three-field learner
+    # keyed on its whole state.
+    reference = ReferenceExplorer(reference_learners.whole_state(reference_learner), H)
     explorer = game.Explorer(learner, H)
     assert explorer.future_mistakes(Sample(), t)[0] == reference.future_mistakes(Sample(), t)[0]
     assert len(reference.memo) == reference_entries

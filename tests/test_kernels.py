@@ -5,7 +5,7 @@ import tracemalloc
 from hypothesis import given, settings, strategies as st
 
 import reference_kernels as reference
-from littlelab import families, kernels
+from littlelab import families
 from littlelab.classes import FiniteClass, singletons, thresholds
 from littlelab.cli import default_table_oracle
 from littlelab.game import optimal_mistake_bound
@@ -20,11 +20,17 @@ def mask_classes(draw):
     return tuple(sorted(rows)), domain
 
 
+def fresh_values(rows: tuple[int, ...], domain: int) -> tuple[int, int]:
+    """(ldim, game value) of the rows, each kernel starting on the empty memo
+    of a fresh class."""
+    H = FiniteClass(domain, frozenset(rows))
+    return ldim(H), optimal_mistake_bound(H)
+
+
 def assert_matches_reference(rows: tuple[int, ...], domain: int) -> None:
-    value = kernels.ldim_masks(rows, domain)
+    value, game_value = fresh_values(rows, domain)
     assert value == reference.ldim_masks(rows, domain)
-    assert kernels.game_value_masks(rows, domain) == \
-        reference.game_value_masks(rows, domain)
+    assert game_value == reference.game_value_masks(rows, domain)
     H = FiniteClass(domain, frozenset(rows))
     for depth in range(1, value + 2):
         expected = reference.search(rows, domain, depth)
@@ -43,12 +49,10 @@ def test_kernels_and_search_match_reference(case):
 
 def test_empty_and_one_row_classes():
     for domain in (0, 1, 5):
-        assert kernels.ldim_masks((), domain) == -1
-        assert kernels.game_value_masks((), domain) == 0
+        assert fresh_values((), domain) == (-1, 0)
         assert_matches_reference((), domain)
     for row in (0, 1, 0b10110):
-        assert kernels.ldim_masks((row,), 5) == 0
-        assert kernels.game_value_masks((row,), 5) == 0
+        assert fresh_values((row,), 5) == (0, 0)
         assert_matches_reference((row,), 5)
 
 
@@ -72,9 +76,8 @@ def test_wide_domain_matches_reference():
 
 
 def test_large_classes_the_naive_recursions_cannot_finish():
-    assert kernels.ldim_masks(singletons(40).sorted_rows, 40) == 1
-    assert kernels.ldim_masks(thresholds(6).sorted_rows, 64) == 6
-    assert kernels.game_value_masks(thresholds(6).sorted_rows, 64) == 6
+    assert ldim(singletons(40)) == 1
+    assert fresh_values(thresholds(6).sorted_rows, 64) == (6, 6)
 
 
 @st.composite
@@ -148,7 +151,7 @@ def classes_with_complement_instances(draw):
 @given(classes_with_complement_instances())
 def test_game_values_with_complement_instances_match_reference(case):
     H, vs = case
-    assert kernels.game_value_masks(H.sorted_rows, H.domain_size) == \
+    assert fresh_values(H.sorted_rows, H.domain_size)[1] == \
         reference.game_value_masks(H.sorted_rows, H.domain_size)
     for v in vs:
         sub = H.restricted_to(v).sorted_rows

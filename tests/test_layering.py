@@ -1,6 +1,7 @@
 """Each module of the package uses only the public names of its siblings,
-imports nothing from outside the package but the standard library, and
-defines no public name that only its own unit tests reference.
+imports nothing from outside the package but the standard library, defines
+no public name that only its own unit tests reference, and bounds every
+cache it keeps.
 
 A leading underscore marks a name as private to its module, so no other
 module of the package may import it (``from .game import _name``) or call it
@@ -158,3 +159,52 @@ def test_the_caller_guard_lists_unread_constants_functions_and_methods(tmp_path)
     # Without the harness its string is no reference, and a reader's
     # strings never count.
     assert "mod.HOOKED" in unused_public_names([module], [reader, harness], [])
+
+
+def _cache_decorator(node: ast.AST) -> bool:
+    """True for a reference to functools.lru_cache or functools.cache."""
+    name = (node.attr if isinstance(node, ast.Attribute)
+            else node.id if isinstance(node, ast.Name) else None)
+    return name in ("lru_cache", "cache")
+
+
+def unbounded_caches(path: Path) -> list[str]:
+    """Each use of lru_cache or cache in path without an integer maxsize: a
+    literal, or a module constant assigned one."""
+    tree = _parse(path)
+    integers = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Constant) and type(node.value.value) is int
+                for target in node.targets if isinstance(target, ast.Name)}
+    called = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _cache_decorator(node.func):
+            called.add(id(node.func))
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            size = sizes[0] if len(sizes) == 1 else None
+            if not (isinstance(size, ast.Constant) and type(size.value) is int
+                    or isinstance(size, ast.Name) and size.id in integers):
+                found.append(node.lineno)
+    for node in ast.walk(tree):
+        if _cache_decorator(node) and id(node) not in called:
+            found.append(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
+def test_every_cache_has_an_integer_maxsize():
+    """A process-wide cache without a bound grows for as long as a run lasts."""
+    found = [use for path in sorted(PACKAGE.glob("*.py")) for use in unbounded_caches(path)]
+    assert not found, "\n".join(found)
+
+
+def test_the_cache_guard_lists_unbounded_caches(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("import functools\nfrom functools import cache, lru_cache\n"
+                      "KEPT = 8\nUNSET = None\n\n"
+                      "@lru_cache(maxsize=16)\ndef a(): pass\n\n"
+                      "@functools.lru_cache(KEPT)\ndef b(): pass\n\n"
+                      "@lru_cache(maxsize=UNSET)\ndef c(): pass\n\n"
+                      "@lru_cache\ndef d(): pass\n\n"
+                      "@cache\ndef e(): pass\n\n"
+                      "f = functools.lru_cache(maxsize=None)(len)\n")
+    assert unbounded_caches(module) == ["mod.py:12", "mod.py:15", "mod.py:18", "mod.py:21"]
