@@ -1,6 +1,8 @@
 """Hypothesis and hypothesis-class representations.
 
-A FiniteClass is a deduplicated set of 0/1 rows over the domain prefix
+A hypothesis is its 0/1 function on the naturals: `Hypothesis` names the
+type, and a support set serves as one through its `__contains__`.  A
+FiniteClass is a deduplicated set of 0/1 rows over the domain prefix
 {0, ..., n-1}; rows are stored as bitmask integers (bit x set iff the
 hypothesis labels x with 1).  An EnumerableClass is a budgeted stream of
 hypotheses indexed by naturals, where a slot may be absent (a diverging
@@ -21,26 +23,7 @@ class ClassFileError(ValueError):
     """Raised on a malformed class file, with the offending entry number."""
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    """A total 0/1 map over the naturals, optionally with explicit finite support."""
-
-    fn: Callable[[int], int] | None = None
-    support: frozenset[int] | None = None
-
-    def __post_init__(self) -> None:
-        if self.fn is None and self.support is None:
-            raise ValueError("hypothesis needs an evaluator or a support set")
-
-    def __call__(self, x: int) -> int:
-        if self.support is not None:
-            return int(x in self.support)
-        assert self.fn is not None
-        return int(self.fn(x))
-
-    @staticmethod
-    def from_support(instances: Iterable[int]) -> "Hypothesis":
-        return Hypothesis(support=frozenset(instances))
+Hypothesis = Callable[[int], int]  # a total 0/1 map over the naturals
 
 
 @dataclass(frozen=True)
@@ -127,10 +110,8 @@ class FiniteClass:
 
     @staticmethod
     def from_hypotheses(domain_size: int, hypotheses: Iterable[Hypothesis]) -> "FiniteClass":
-        rows = set()
-        for h in hypotheses:
-            rows.add(sum(1 << x for x in range(domain_size) if h(x)))
-        return FiniteClass(domain_size, frozenset(rows))
+        return FiniteClass(domain_size, frozenset(
+            sum(1 << x for x in range(domain_size) if h(x)) for h in hypotheses))
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +154,10 @@ class EnumerableClass:
     @staticmethod
     def embed_finite(H: FiniteClass) -> "EnumerableClass":
         rows = H.sorted_rows
-        support_of = {i: frozenset(x for x in range(H.domain_size) if (row >> x) & 1)
-                      for i, row in enumerate(rows)}
 
         def gen(i: int) -> Hypothesis | None:
             if i < len(rows):
-                return Hypothesis.from_support(support_of[i])
+                return lambda x: rows[i] >> x & 1
             return None
 
         return EnumerableClass(gen, max(len(rows), 1))

@@ -72,6 +72,24 @@ MAX_HORIZON = 500
 # d = 6 and 21 s at d = 7 in a fresh process on a 2-core host.
 MAX_HDPRIME_D = 6
 
+# The most blocks `demo-rer-halt --e-max` accepts.  Its significance checks
+# and block-learner game grow about as e_max^2: 1.2 s at 500 blocks and 5.0 s
+# at 1,000 in a fresh process on a 2-core host.
+MAX_RER_BLOCKS = 500
+
+# The largest program index `--learner toy:N` and `demo-split --e` accept.  A
+# run's register list reaches the highest register its program names, and
+# the index of (INC 10^9; HALT 0) is about 4.5 * 10^18.  No index up to 10^6
+# names a register above 471; `duel --builder thresholds --d 2 --learner
+# toy:1000000` takes 0.09 s in a fresh process.
+MAX_PROGRAM_INDEX = 10 ** 6
+
+# The most bits `demo-split`'s forcing row may encode, by
+# families.forcing_row_bits before any code is built.  In a fresh process on
+# a 2-core host the largest e within the cap for each M from 1 to 31 takes at
+# most 1.5 s (e = 69, M = 10); --e 261 --M 3, 5 * 10^7 bits, takes 6.6 s.
+MAX_FORCING_ROW_BITS = 20_000_000
+
 # The most (history, instance) inputs a `significance` sweep may decide.  The
 # sweep counts them as it goes, so the worst refused sweep runs this far: on
 # 128-row random class files at --max-len 1, 100,000 inputs took 9.6 s at
@@ -127,7 +145,10 @@ def build_learner(name: str, H: FiniteClass):
             raise UsageError("fallback learner requires the hd-prime builder")
         return learners.threshold_fallback_learner(H, threshold_rows)
     if name.startswith("toy:"):
-        return learners.toy_learner(_digits(name.split(":", 1)[1]))
+        index = _digits(name.split(":", 1)[1])
+        if index > MAX_PROGRAM_INDEX:
+            raise UsageError(f"--learner toy:{index} is above the cap of {MAX_PROGRAM_INDEX}")
+        return learners.toy_learner(index)
     raise UsageError(f"unknown learner {name!r}")
 
 
@@ -209,11 +230,6 @@ def cmd_significance(args) -> list[tuple[str, object]]:
 
 def cmd_demo_hdprime(args) -> list[tuple[str, object]]:
     d = args.d
-    if d < 3:
-        raise UsageError("the gap needs at least two extra instances (d >= 3)")
-    if d > MAX_HDPRIME_D:
-        raise UsageError(f"--d {d} is above the cap of {MAX_HDPRIME_D}: the exhaustive "
-                         f"games take about 2 s at d = 6 and 21 s at d = 7")
     H = hd_prime(d)
     extra = classes.hd_prime_extra_instances(d)
     learner_a = learners.threshold_fallback_learner(H, thresholds(d).rows)
@@ -365,6 +381,10 @@ def cmd_demo_dr_halt(args) -> list[tuple[str, object]]:
 
 
 def cmd_demo_split(args) -> list[tuple[str, object]]:
+    if families.forcing_row_bits(args.e, args.M, MAX_FORCING_ROW_BITS) > MAX_FORCING_ROW_BITS:
+        raise UsageError(f"--e {args.e} --M {args.M}: the forcing row's history codes would "
+                         f"take more than {MAX_FORCING_ROW_BITS} bits, the cap; lower --e "
+                         f"or --M")
     truncation = families.adversarial_family(
         args.i_max, args.step_budget).truncation(families.s2(args.i_max))
     if ldim(truncation) < 1:
@@ -385,9 +405,6 @@ def cmd_demo_split(args) -> list[tuple[str, object]]:
 
 
 def cmd_demo_init(args) -> list[tuple[str, object]]:
-    if args.k < 2:
-        raise UsageError("--k must be at least 2: k thresholds give a witness of "
-                         "depth floor(log2 k), and depth 0 shows none")
     try:
         witness = families.find_thresholds(args.k, args.step_cap, args.x_cap)
     except FuelExhaustedError as exc:
@@ -453,42 +470,31 @@ def _digits(text: str) -> int:
     return int(text)
 
 
-def _natural(text: str) -> int:
-    try:
-        return _digits(text)
-    except UsageError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _bounded(low: int, high: int | None = None, reason: str = ""):
+    """The argparse type of a natural in low..high (high None: no upper bound),
+    keeping low and high on it, so each bounded flag can be read back."""
+
+    def parse(text: str) -> int:
+        try:
+            value = _digits(text)
+        except UsageError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if value < low or (high is not None and value > high):
+            bound = f"at least {low}" if value < low else f"at most {high} (the cap)"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}"
+                                             + (f": {reason}" if reason else ""))
+        return value
+
+    parse.low, parse.high = low, high
+    return parse
+
+
+_natural = _bounded(0)
 
 
 def _integer(text: str) -> int:
     """A natural number, or one with a leading minus: seeds may be negative."""
     return -_natural(text[1:]) if text.startswith("-") else _natural(text)
-
-
-def _positive(text: str) -> int:
-    value = _natural(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
-def _horizon(text: str) -> int:
-    value = _positive(text)
-    if value > MAX_HORIZON:
-        raise argparse.ArgumentTypeError(
-            f"expected at most {MAX_HORIZON} rounds, the horizon cap, got {value}")
-    return value
-
-
-def _block_count(text: str) -> int:
-    # Block e holds 2**e, so `demo-dr-ext` and `demo-dr-halt` take --e-max
-    # at most MAX_MEMBER_BITS.
-    value = _positive(text)
-    if value > MAX_MEMBER_BITS:
-        raise argparse.ArgumentTypeError(
-            f"expected at most {MAX_MEMBER_BITS} blocks: block e holds 2^e, and members "
-            f"must stay below the member cap of 2^{MAX_MEMBER_BITS}, got {value}")
-    return value
 
 
 def _epsilon(text: str) -> Fraction:
@@ -513,8 +519,8 @@ def _epsilon(text: str) -> Fraction:
 def _add_class_args(p) -> None:
     p.add_argument("--builder", choices=["thresholds", "singletons", "hd-prime"])
     p.add_argument("--file")
-    p.add_argument("--d", type=_positive, default=2)
-    p.add_argument("--n", type=_positive, default=4)
+    p.add_argument("--d", type=_bounded(1), default=2)
+    p.add_argument("--n", type=_bounded(1), default=4)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -529,7 +535,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("duel", help="learner vs exhaustive adversary")
     _add_class_args(p)
     p.add_argument("--learner", required=True)
-    p.add_argument("--horizon", type=_horizon, default=6)
+    p.add_argument("--horizon", type=_bounded(
+        1, MAX_HORIZON, "the game explorer recurses once per round"), default=6)
     p.set_defaults(run=cmd_duel)
 
     p = sub.add_parser("significance", help="verdict sweep over short histories")
@@ -538,33 +545,40 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_significance)
 
     p = sub.add_parser("demo-hdprime", help="optimal-but-not-anytime gap table")
-    p.add_argument("--d", type=_positive, default=3)
+    p.add_argument("--d", type=_bounded(
+        3, MAX_HDPRIME_D, "the gap needs two extra instances (d >= 3), and the exhaustive "
+        "games take about 2 s at d = 6 and 21 s at d = 7"), default=3)
     p.set_defaults(run=cmd_demo_hdprime)
 
     p = sub.add_parser("demo-rer-halt", help="forced predictions mirror halting bits")
     p.add_argument("--oracle")
-    p.add_argument("--e-max", type=_positive, default=9)
+    p.add_argument("--e-max", type=_bounded(
+        1, MAX_RER_BLOCKS, "the demo's checks grow about as e_max^2"), default=9)
     p.set_defaults(run=cmd_demo_rer_halt)
 
+    # Block e holds 2^e, so the DR demos take --e-max at most MAX_MEMBER_BITS.
+    dr_blocks = _bounded(1, MAX_MEMBER_BITS, f"block e holds 2^e, and members must stay "
+                                             f"below the member cap of 2^{MAX_MEMBER_BITS}")
     p = sub.add_parser("demo-dr-ext", help="extended certificate-block family")
     p.add_argument("--oracle")
-    p.add_argument("--e-max", type=_block_count, default=9)
+    p.add_argument("--e-max", type=dr_blocks, default=9)
     p.set_defaults(run=cmd_demo_dr_ext)
 
     p = sub.add_parser("demo-dr-halt", help="two-tier certificate-block family")
     p.add_argument("--oracle")
-    p.add_argument("--e-max", type=_block_count, default=9)
+    p.add_argument("--e-max", type=dr_blocks, default=9)
     p.set_defaults(run=cmd_demo_dr_halt)
 
     p = sub.add_parser("demo-split", help="diagonal forcing-sample replay")
-    p.add_argument("--e", type=_natural, default=0)
+    p.add_argument("--e", type=_bounded(0, MAX_PROGRAM_INDEX), default=0)
     p.add_argument("--M", type=_natural, default=2)
-    p.add_argument("--step-budget", type=_positive, default=10_000)
-    p.add_argument("--i-max", type=_positive, default=5)
+    p.add_argument("--step-budget", type=_bounded(1), default=10_000)
+    p.add_argument("--i-max", type=_bounded(1), default=5)
     p.set_defaults(run=cmd_demo_split)
 
     p = sub.add_parser("demo-init", help="threshold search in the stage family")
-    p.add_argument("--k", type=_positive, default=4)
+    p.add_argument("--k", type=_bounded(2, reason="k thresholds give a witness of depth "
+                                        "floor(log2 k), and depth 0 shows none"), default=4)
     p.add_argument("--step-cap", type=_natural, default=10_000)
     p.add_argument("--x-cap", type=_natural, default=5_000)
     p.set_defaults(run=cmd_demo_init)
@@ -585,7 +599,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_class_args(p)
     p.add_argument("--learner", default="sol")
     p.add_argument("--m", type=_natural, default=40)
-    p.add_argument("--trials", type=_positive, default=200)
+    p.add_argument("--trials", type=_bounded(1), default=200)
     p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--epsilon", type=_epsilon, default="0.2")
     p.set_defaults(run=cmd_pac_eval)

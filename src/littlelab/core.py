@@ -36,13 +36,16 @@ class Sample:
     items: tuple[LabeledInstance, ...] = ()
 
     def __post_init__(self) -> None:
-        coerced = tuple(LabeledInstance(int(x), int(y)) for x, y in self.items)
-        for item in coerced:
-            if item.y not in (0, 1):
-                raise ValueError(f"label must be 0 or 1, got {item.y}")
-            if item.x < 0:
-                raise ValueError(f"instance must be a natural, got {item.x}")
-        object.__setattr__(self, "items", coerced)
+        coerced = []  # ints only; int() turns a bool label into 0/1
+        for x, y in self.items:
+            if not (isinstance(x, int) and isinstance(y, int)):
+                raise ValueError(f"instance and label must be integers, got {x!r} and {y!r}")
+            if y not in (0, 1):
+                raise ValueError(f"label must be 0 or 1, got {y}")
+            if x < 0:
+                raise ValueError(f"instance must be a natural, got {x}")
+            coerced.append(LabeledInstance(int(x), int(y)))
+        object.__setattr__(self, "items", tuple(coerced))
 
     def __len__(self) -> int:
         return len(self.items)
@@ -63,7 +66,7 @@ class Sample:
         return Sample(tuple(LabeledInstance(x, y) for x, y in pairs))
 
 
-def _primes() -> Iterator[int]:
+def primes() -> Iterator[int]:
     """The primes in order, by trial division (codes only involve small primes)."""
     found: list[int] = []
     for candidate in count(2):
@@ -86,7 +89,7 @@ def encode_sequence(z: Sequence[int] | Iterable[int]) -> int:
         raise ValueError("sequence entries must be naturals")
     if not entries:
         return 1
-    odd = list(zip(islice(_primes(), 1, None), (v + 1 for v in entries[1:])))
+    odd = list(zip(islice(primes(), 1, None), (v + 1 for v in entries[1:])))
     code = 1
     for bit in reversed(range(max((e for _, e in odd), default=0).bit_length())):
         factor = 1
@@ -103,9 +106,9 @@ def decode_sequence(code: int) -> tuple[int, ...]:
         raise NotInRangeError(f"codes are positive integers, got {code}")
     entries: list[int] = []
     rest = code
-    primes = _primes()
+    stream = primes()
     while rest > 1:
-        p = next(primes)
+        p = next(stream)
         exponent = 0
         while rest % p == 0:
             rest //= p

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 from .budget import FuelExhaustedError
 from .classes import EnumerableClass, FiniteClass, Hypothesis
-from .core import LabeledInstance, Sample, decode_canonical, encode_sample
+from .core import LabeledInstance, Sample, decode_canonical, encode_sample, primes
 from .littlestone import ShatteredTree, find_shattered_tree, verify_shattered_tree
 from .machine import apply2, enumerate_programs, run
 
@@ -73,12 +73,12 @@ def triple_block_family(oracle, e_max: int) -> EnumerableClass:
     def gen(i: int) -> Hypothesis | None:
         e, k = divmod(i, 3)
         if k == 0:
-            return Hypothesis.from_support({3 * e})
+            return frozenset({3 * e}).__contains__
         if oracle.halts(e, e) is None:
             return None
         if k == 1:
-            return Hypothesis.from_support({3 * e, 3 * e + 1})
-        return Hypothesis.from_support({3 * e, 3 * e + 1, 3 * e + 2})
+            return frozenset({3 * e, 3 * e + 1}).__contains__
+        return frozenset({3 * e, 3 * e + 1, 3 * e + 2}).__contains__
 
     return EnumerableClass(gen, 3 * e_max)
 
@@ -327,9 +327,27 @@ def adversarial_family(i_max: int, step_budget: int = 10_000) -> EnumerableClass
                 return 0
             return _diagonal_row(i, position.j, step_budget)[n - position.start][0]
 
-        return Hypothesis(fn=evaluate)
+        return evaluate
 
     return EnumerableClass(gen, i_max)
+
+
+def forcing_row_bits(e: int, M: int, limit: int) -> int:
+    """An upper bound on the total bits of the codes of the M + 1 histories
+    (lengths 0 to M) that block row (M + e, M) encodes, or a partial sum above
+    limit: the sum stops there, so it reads few instances and primes whatever
+    e and M are.  A code is the product of p_2t^(x_t + 1) * p_2t+1^(y_t + 1),
+    so with y_t <= 1 it has at most 1 + sum (x_t + 1) b(p_2t) + 2 b(p_2t+1)
+    bits, b the bit length."""
+    start = BlockPosition(M + e, M).start
+    stream = primes()
+    code = total = 1  # the empty history's code, 1, has one bit
+    for x in range(start, start + M):
+        if total > limit:
+            break
+        code += (x + 1) * next(stream).bit_length() + 2 * next(stream).bit_length()
+        total += code
+    return total
 
 
 def diagonal_forcing_sample(e: int, M: int, step_budget: int = 10_000) -> Sample:
@@ -349,7 +367,7 @@ def stage_hypothesis(s: int) -> Hypothesis:
     def evaluate(x: int) -> int:
         return int(run(enumerate_programs(x), x, s) is not None)
 
-    return Hypothesis(fn=evaluate)
+    return evaluate
 
 
 @dataclass(frozen=True)

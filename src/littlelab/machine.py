@@ -1,6 +1,6 @@
 """Toy computability substrate: a register machine with a bijective numbering.
 
-Programs are finite lists of instructions over three opcodes:
+A program is its instruction tuple (`Program`), over three opcodes:
 
     INC r       increment register r
     DECJZ r t   if register r is zero jump to instruction t, else decrement r
@@ -8,7 +8,8 @@ Programs are finite lists of instructions over three opcodes:
 
 Register 0 holds the input; the output is read from register 0 at halt.
 Control falling past the end of the program halts as well (so every
-instruction list is a valid program, which keeps the numbering a bijection).
+instruction tuple is a valid program, which keeps the numbering a bijection).
+A run's register list reaches the highest register its program names.
 Two-place functions receive their arguments in registers 0 and 1.
 
 Every run goes through one step loop on a list of registers changed in place.
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
@@ -60,6 +62,7 @@ DECJZ = "DECJZ"
 HALT = "HALT"
 
 Instruction = tuple  # (INC, r) | (DECJZ, r, t) | (HALT, r)
+Program = tuple[Instruction, ...]
 Config = tuple[int, tuple[int, ...]]  # (pc, registers)
 
 
@@ -81,25 +84,6 @@ def unpair(n: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # Programs
 
-@dataclass(frozen=True)
-class ToyProgram:
-    instructions: tuple[Instruction, ...]
-
-    def __len__(self) -> int:
-        return len(self.instructions)
-
-    @property
-    def register_count(self) -> int:
-        regs = [0]
-        for ins in self.instructions:
-            regs.append(ins[1])
-        return max(regs) + 1
-
-    def padded(self) -> "ToyProgram":
-        """A syntactically distinct, run-equivalent program (appends HALT 0)."""
-        return ToyProgram(self.instructions + ((HALT, 0),))
-
-
 def _instruction_to_nat(ins: Instruction) -> int:
     if ins[0] == HALT:
         return 3 * ins[1]
@@ -118,7 +102,7 @@ def _nat_to_instruction(n: int) -> Instruction:
     return (DECJZ, r, t)
 
 
-def enumerate_programs(n: int) -> ToyProgram:
+def enumerate_programs(n: int) -> Program:
     """The n-th program under a total bijection between naturals and programs."""
     if n < 0:
         raise ValueError("program indices are naturals")
@@ -127,12 +111,12 @@ def enumerate_programs(n: int) -> ToyProgram:
     while rest > 0:
         head, rest = unpair(rest - 1)
         instructions.append(_nat_to_instruction(head))
-    return ToyProgram(tuple(instructions))
+    return tuple(instructions)
 
 
-def index_of(program: ToyProgram) -> int:
+def index_of(program: Program) -> int:
     code = 0
-    for ins in reversed(program.instructions):
+    for ins in reversed(program):
         code = pair(_instruction_to_nat(ins), code) + 1
     return code
 
@@ -146,15 +130,16 @@ class Halted:
     steps: int
 
 
-def _registers(program: ToyProgram, value: int, second: int | None = None) -> list[int]:
-    regs = [0] * max(program.register_count, 2 if second is not None else 1)
+def _registers(program: Program, value: int, second: int | None = None) -> list[int]:
+    top = max((ins[1] for ins in program), default=0)
+    regs = [0] * (max(top, 0 if second is None else 1) + 1)
     regs[0] = value
     if second is not None:
         regs[1] = second
     return regs
 
 
-def _execute(code: tuple[Instruction, ...], pc: int, regs: list[int],
+def _execute(code: Program, pc: int, regs: list[int],
              budget: int) -> tuple[int, int]:
     """At most budget steps from pc, changing regs in place: (pc, steps taken).
 
@@ -186,35 +171,34 @@ def _execute(code: tuple[Instruction, ...], pc: int, regs: list[int],
     return pc, budget
 
 
-def run(program: ToyProgram, value: int, step_budget: int,
+def run(program: Program, value: int, step_budget: int,
         second: int | None = None) -> Halted | None:
     """Deterministic small-step execution; None means not halted in budget."""
     if step_budget < 0:
         raise ValueError("step budget must be a natural")
     regs = _registers(program, value, second)
-    pc, steps = _execute(program.instructions, 0, regs, step_budget)
-    if pc >= len(program.instructions):
+    pc, steps = _execute(program, 0, regs, step_budget)
+    if pc >= len(program):
         return Halted(regs[0], steps)
     return None
 
 
-def run_trace(program: ToyProgram, value: int, step_budget: int) -> tuple[Config, ...] | None:
+def run_trace(program: Program, value: int, step_budget: int) -> tuple[Config, ...] | None:
     """Full configuration trace from initial to halting configuration, or
     None when the run does not halt within step_budget steps.
 
     A fixed point can never halt, so the trace stops at its first step there:
     the one step that leaves pc unchanged.
     """
-    code = program.instructions
     pc, regs = 0, _registers(program, value)
     trace = [(pc, tuple(regs))]
-    while pc < len(code) and len(trace) <= step_budget:
-        step_pc = _execute(code, pc, regs, 1)[0]
+    while pc < len(program) and len(trace) <= step_budget:
+        step_pc = _execute(program, pc, regs, 1)[0]
         if step_pc == pc:
             return None
         pc = step_pc
         trace.append((pc, tuple(regs)))
-    return tuple(trace) if pc >= len(code) else None
+    return tuple(trace) if pc >= len(program) else None
 
 
 def apply2(e: int, a: int, b: int, step_budget: int) -> Halted | None:
@@ -237,7 +221,7 @@ class HaltingCertificate:
         return len(self.trace) - 1
 
 
-def _dovetail(x: int) -> Generator[tuple[int, int, ToyProgram, int] | None, int, None]:
+def _dovetail(x: int) -> Generator[tuple[int, int, Program, int] | None, int, None]:
     """The dovetail walk from input x, driven by send(cap).
 
     Each send(cap) walks on to the next halting computation and yields it as
@@ -259,7 +243,7 @@ def _dovetail(x: int) -> Generator[tuple[int, int, ToyProgram, int] | None, int,
             e, program, state = entry
             while first + e >= cap:  # every pair after this one sits later still
                 cap = yield None
-            pc, steps = _execute(program.instructions, state[0], state[1], 1)
+            pc, steps = _execute(program, state[0], state[1], 1)
             if not steps:
                 cap = yield first + e, e, program, diagonal - e
             elif pc != state[0]:
@@ -287,7 +271,7 @@ class _Walk:
         """Start again cold.  An exception from a send ends the generator, and
         a step cut short may have changed a register but not pc; the walk is
         deterministic, so a cold restart finds the same entries."""
-        self.found: list[tuple[int, int, ToyProgram, int]] = []
+        self.found: list[tuple[int, int, Program, int]] = []
         self.steps = _dovetail(self.x)
         next(self.steps)
 
@@ -305,7 +289,7 @@ def _walk(x: int) -> _Walk:
     return _Walk(x)
 
 
-def _halting_computations(x: int, cap: int) -> Iterator[tuple[int, ToyProgram, int]]:
+def _halting_computations(x: int, cap: int) -> Iterator[tuple[int, Program, int]]:
     """(e, P_e, s) for each pair (e, s) among the first cap pairs in dovetail
     order (e + s ascending, then e ascending) where P_e halts on x in exactly
     s steps.  The order and each program's steps do not depend on cap, so
@@ -437,9 +421,10 @@ class TableOracle:
         halting: dict[tuple[int, int], int] = {}
         certificates: dict[tuple[int, int], int] = {}
         for key, entry in raw.items():
-            e_str, _, x_str = key.partition(",")
-            if not (e_str.isdecimal() and x_str.isdecimal()):
+            # ASCII digits only: str.isdecimal() also takes other scripts' digits.
+            if not re.fullmatch("[0-9]+,[0-9]+", key):
                 raise ValueError(f"oracle key {key!r}: expected \"e,x\" with e and x naturals")
+            e_str, _, x_str = key.partition(",")
             pair_key = (int(e_str), int(x_str))
             if isinstance(entry, dict) and "halts" in entry:
                 for name in ("halts", "cert"):
@@ -463,7 +448,7 @@ class TableOracle:
 
 
 # Canonical tiny programs used throughout the demos and tests.
-CONST0_PROGRAM = ToyProgram(((HALT, 2),))
-CONST1_PROGRAM = ToyProgram(((INC, 2), (HALT, 2)))
+CONST0_PROGRAM: Program = ((HALT, 2),)
+CONST1_PROGRAM: Program = ((INC, 2), (HALT, 2))
 CONST0_INDEX = index_of(CONST0_PROGRAM)
 CONST1_INDEX = index_of(CONST1_PROGRAM)

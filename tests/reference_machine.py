@@ -15,20 +15,21 @@ from __future__ import annotations
 from typing import Iterator
 
 from littlelab.machine import (DECJZ, INC, Config, Halted, HaltingCertificate,
-                               ToyProgram, enumerate_programs)
+                               Program, enumerate_programs)
 
 
-def _initial_config(program: ToyProgram, value: int, second: int | None = None) -> Config:
-    regs = [0] * max(program.register_count, 2 if second is not None else 1)
+def _initial_config(program: Program, value: int, second: int | None = None) -> Config:
+    regs = [0] * max(max((ins[1] for ins in program), default=0) + 1,
+                     2 if second is not None else 1)
     regs[0] = value
     if second is not None:
         regs[1] = second
     return (0, tuple(regs))
 
 
-def _step(program: ToyProgram, config: Config) -> Config:
+def _step(program: Program, config: Config) -> Config:
     pc, regs = config
-    ins = program.instructions[pc]
+    ins = program[pc]
     if ins[0] == INC:
         r = ins[1]
         regs = regs[:r] + (regs[r] + 1,) + regs[r + 1:]
@@ -45,11 +46,11 @@ def _step(program: ToyProgram, config: Config) -> Config:
     return (len(program), regs)
 
 
-def _is_terminal(program: ToyProgram, config: Config) -> bool:
+def _is_terminal(program: Program, config: Config) -> bool:
     return config[0] >= len(program)
 
 
-def run(program: ToyProgram, value: int, step_budget: int,
+def run(program: Program, value: int, step_budget: int,
         second: int | None = None) -> Halted | None:
     """Deterministic small-step execution; None means not halted in budget."""
     if step_budget < 0:
@@ -64,7 +65,7 @@ def run(program: ToyProgram, value: int, step_budget: int,
     return None
 
 
-def run_trace(program: ToyProgram, value: int, step_budget: int) -> tuple[Config, ...] | None:
+def run_trace(program: Program, value: int, step_budget: int) -> tuple[Config, ...] | None:
     """Full configuration trace from initial to halting configuration, or
     None when the run does not halt within step_budget steps."""
     config = _initial_config(program, value)

@@ -28,7 +28,7 @@ from littlelab.learners import (b_extended_blocks, b_triple_blocks, relabeled,
                                 toy_learner)
 from littlelab.littlestone import (find_shattered_tree, ldim,
                                    max_witness_depth, verify_shattered_tree)
-from littlelab.machine import CONST0_INDEX, CONST1_INDEX, enumerate_programs, index_of
+from littlelab.machine import CONST0_INDEX, CONST1_INDEX, HALT, enumerate_programs, index_of
 from littlelab.significance import (brute_force_aopt_significant,
                                     brute_force_opt_significant,
                                     check_condition_equivalence,
@@ -194,7 +194,7 @@ def test_criterion_09_forcing_samples_defeat_their_coded_learners():
         learner = toy_learner(e)
         # Padding lemma: another index of the same runs, so e's forcing
         # samples defeat it too, though none is built for its own index.
-        padded = index_of(enumerate_programs(e).padded())
+        padded = index_of(enumerate_programs(e) + ((HALT, 0),))
         assert padded != e
         for M in (1, 2, 3):
             sample = diagonal_forcing_sample(e, M)

@@ -4,27 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from littlelab.classes import (ClassFileError, EnumerableClass, FiniteClass,
-                               Hypothesis, from_file, hd_prime,
-                               hd_prime_extra_instances, singletons, thresholds,
-                               to_file)
+from littlelab.classes import (ClassFileError, EnumerableClass, FiniteClass, from_file,
+                               hd_prime, hd_prime_extra_instances, singletons,
+                               thresholds, to_file)
 from littlelab.core import Sample
 from conftest import seeded_classes
-
-
-# ---------------------------------------------------------------------------
-# Hypotheses
-
-def test_hypothesis_support_and_fn():
-    h = Hypothesis.from_support({1, 3})
-    assert [h(x) for x in range(4)] == [0, 1, 0, 1]
-    g = Hypothesis(fn=lambda x: x % 2)
-    assert g(3) == 1 and g(4) == 0
-
-
-def test_hypothesis_requires_evaluator():
-    with pytest.raises(ValueError):
-        Hypothesis()
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +47,7 @@ def test_from_strings_rejects_ragged_or_nonbinary(tmp_path):
 
 def test_from_hypotheses_deduplicates():
     H = FiniteClass.from_hypotheses(
-        3, [Hypothesis.from_support({0}), Hypothesis.from_support({0, 5})])
+        3, [frozenset({0}).__contains__, frozenset({0, 5}).__contains__])
     assert len(H) == 1  # instance 5 is outside the domain
 
 
@@ -201,7 +185,7 @@ def test_enumerable_absent_slots_and_constrained():
     def gen(i):
         if i % 2:
             return None
-        return Hypothesis.from_support({i})
+        return frozenset({i}).__contains__
 
     E = EnumerableClass(gen, 6)
     assert [i for i in range(6) if E.generator(i) is None] == [1, 3, 5]

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import time
@@ -169,7 +170,7 @@ def test_dr_demo_e_max_above_the_cap_is_a_usage_error(capsys, command):
     assert run_cli(capsys, command, "--e-max", str(cli.MAX_MEMBER_BITS))[0] == 0
 
 
-@pytest.mark.parametrize("key", ["0,0,0", "a,0", "5"])
+@pytest.mark.parametrize("key", ["0,0,0", "a,0", "5", "\u0663,3", "3,\u0663"])
 def test_oracle_file_with_a_malformed_key_exit_code(capsys, tmp_path, key):
     path = tmp_path / "oracle.json"
     path.write_text(json.dumps({key: {"halts": 1}}))
@@ -220,7 +221,7 @@ def test_undersized_truncations_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == "" and "Traceback" not in err and "property violation" not in err
-    minimum = {"--step-budget": "positive", "--i-max": "--i-max must be at least 5",
+    minimum = {"--step-budget": "must be at least 1", "--i-max": "--i-max must be at least 5",
                "--e-max": "--e-max >= 4"}[argv[1]]
     assert argv[1] in err and minimum in err
 
@@ -293,8 +294,81 @@ def test_demo_hdprime_above_the_cap_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "demo-hdprime", "--d", str(cli.MAX_HDPRIME_D + 1))
     assert code == 1
     assert out == "" and "Traceback" not in err
-    assert f"--d {cli.MAX_HDPRIME_D + 1}" in err
-    assert f"cap of {cli.MAX_HDPRIME_D}" in err
+    assert "argument --d" in err and f"got {cli.MAX_HDPRIME_D + 1}" in err
+    assert f"at most {cli.MAX_HDPRIME_D} (the cap)" in err
+
+
+def bounded_flags():
+    """(subcommand, flag, low, high) for each flag whose type is cli._bounded,
+    read from the parser itself."""
+    parser = cli.make_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return [(command, flag, action.type.low, action.type.high)
+            for command, sub in commands.items() for action in sub._actions
+            for flag in action.option_strings if hasattr(action.type, "low")]
+
+
+def test_the_bounded_flags_are_found():
+    found = {(command, flag) for command, flag, _, _ in bounded_flags()}
+    assert {("duel", "--horizon"), ("demo-hdprime", "--d"), ("demo-rer-halt", "--e-max"),
+            ("demo-split", "--e"), ("demo-init", "--k"), ("pac-eval", "--trials")} <= found
+
+
+@pytest.mark.parametrize("command, flag, low, high", bounded_flags())
+def test_every_bounded_flag_refuses_its_neighbours_at_parse_time(capsys, command, flag,
+                                                                  low, high):
+    for value in [low - 1] + ([] if high is None else [high + 1]):
+        with pytest.raises(SystemExit):
+            cli.make_parser().parse_args([command, flag, str(value)])
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, command, flag, str(value))
+        assert code == 1
+        assert out == "" and "Traceback" not in err and f"argument {flag}" in err
+        if value >= 0:  # a negative value is refused as not a natural
+            bound = f"at least {low}" if value < low else f"at most {high} (the cap)"
+            assert f"must be {bound}, got {value}" in err
+
+
+def test_toy_learner_index_above_the_cap_is_refused_at_once(capsys):
+    argv = ("duel", "--builder", "thresholds", "--d", "2", "--horizon", "1", "--learner")
+    start = time.perf_counter()
+    # Program (INC 10^9; HALT 0): unchecked, its run asks for 10^9 + 1 registers.
+    code, out, err = run_cli(capsys, *argv, "toy:4500000007500000005")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == "" and "Traceback" not in err
+    assert "--learner toy:4500000007500000005" in err
+    assert f"cap of {cli.MAX_PROGRAM_INDEX}" in err
+    assert run_cli(capsys, *argv, f"toy:{cli.MAX_PROGRAM_INDEX + 1}")[0] == 1
+    assert run_cli(capsys, *argv, f"toy:{cli.MAX_PROGRAM_INDEX}")[0] == 0
+
+
+@pytest.mark.parametrize("e, M", [(0, 40), (0, 10 ** 30), (2000, 1), (5000, 1), (261, 3)])
+def test_demo_split_rows_above_the_bit_cap_are_refused_at_once(capsys, e, M):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "demo-split", "--e", str(e), "--M", str(M))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == "" and "Traceback" not in err
+    assert f"--e {e} --M {M}" in err and f"{cli.MAX_FORCING_ROW_BITS} bits, the cap" in err
+
+
+def test_demo_split_rows_within_the_bit_cap_run(capsys):
+    # (3, 30) and (128, 5) are the largest e within the cap for their M.
+    for e, M in ((3, 30), (128, 5), (cli.MAX_PROGRAM_INDEX, 0)):
+        assert cli.families.forcing_row_bits(e, M, cli.MAX_FORCING_ROW_BITS) <= \
+            cli.MAX_FORCING_ROW_BITS
+        code, out, _ = run_cli(capsys, "demo-split", "--e", str(e), "--M", str(M))
+        assert code == 0 and parse_tsv(out)["mistakes"] == str(M + 1)
+    for e, M in ((4, 30), (129, 5)):
+        assert cli.families.forcing_row_bits(e, M, cli.MAX_FORCING_ROW_BITS) > \
+            cli.MAX_FORCING_ROW_BITS
+
+
+def test_demo_rer_halt_runs_at_its_block_cap(capsys):
+    code, out, _ = run_cli(capsys, "demo-rer-halt", "--e-max", str(cli.MAX_RER_BLOCKS))
+    assert code == 0 and parse_tsv(out)["b_bound"] == "2"
 
 
 def test_diverging_learner_exit_code(capsys):

@@ -23,6 +23,18 @@ def test_sample_rejects_bad_labels_and_negative_instances():
         Sample.of((-1, 0))
 
 
+def test_sample_takes_int_values_and_bool_labels():
+    s = Sample.of((3, True), (0, False))
+    assert s == Sample.of((3, 1), (0, 0))
+    assert all(type(v) is int for item in s for v in item)
+
+
+@pytest.mark.parametrize("pair", [(1.5, 1), ("7", 0), (2, 1.0), (2, "1"), (None, 0)])
+def test_sample_refuses_values_that_are_not_integers(pair):
+    with pytest.raises(ValueError, match="must be integers"):
+        Sample.of(pair)
+
+
 def test_sample_prefix_law():
     s = Sample.of((1, 1), (2, 0), (3, 1))
     assert s.prefix(0) == Sample()

@@ -3,14 +3,14 @@ from hypothesis import given, settings, strategies as st
 
 import reference_families as reference
 from littlelab.budget import FuelExhaustedError
-from littlelab.core import Sample, canonical_index
+from littlelab.core import Sample, canonical_index, encode_sample
 from littlelab.families import (MAX_MEMBER_BITS, BlockPosition, IndexedClass,
                                 adversarial_family, block_position,
                                 diagonal_forcing_sample, diagonal_label,
                                 dimension_witness_from_thresholds,
                                 extended_block_supports,
                                 extended_family_decider, find_thresholds,
-                                s1, s2, stage_hypothesis, triple_block_family,
+                                forcing_row_bits, s1, s2, stage_hypothesis, triple_block_family,
                                 two_tier_block_supports, two_tier_family_decider)
 from littlelab.game import Horizon, mistake_bound, mistakes_on_sample
 from littlelab.learners import b_triple_blocks, toy_learner
@@ -226,6 +226,18 @@ def test_block_geometry():
         assert n in [x for x, _ in forcing]
     with pytest.raises(ValueError):
         block_position(-1)
+
+
+@pytest.mark.parametrize("e", range(0, 40, 3))
+def test_forcing_row_bits_bound_the_codes_the_row_builds(e):
+    for M in range(6):
+        sample = diagonal_forcing_sample(e, M, 100)
+        codes = sum(encode_sample(Sample(sample.items[:k])).bit_length() for k in range(M + 1))
+        bound = forcing_row_bits(e, M, 10 ** 9)
+        assert codes <= bound
+        # Stopping early gives a partial sum past the limit, never a value at or below it.
+        for limit in (0, bound // 2, bound - 1, bound):
+            assert (forcing_row_bits(e, M, limit) > limit) == (bound > limit)
 
 
 def test_block_rows_tile_each_block():

@@ -19,8 +19,7 @@ from littlelab.learners import (b_extended_blocks, b_triple_blocks,
                                 relabeled, sig_predictor, sol,
                                 threshold_fallback_learner, toy_learner)
 from littlelab.littlestone import ldim
-from littlelab.machine import (CONST0_INDEX, CONST1_INDEX, DECJZ, TableOracle,
-                               ToyProgram, index_of)
+from littlelab.machine import CONST0_INDEX, CONST1_INDEX, DECJZ, TableOracle, index_of
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +180,7 @@ def test_toy_learner_constants():
 
 
 def test_toy_learner_fuel_exhaustion():
-    looping = index_of(ToyProgram(((DECJZ, 1, 0),)))
+    looping = index_of(((DECJZ, 1, 0),))
     with pytest.raises(FuelExhaustedError):
         toy_learner(looping, step_budget=50).predict(Sample(), 0)
 

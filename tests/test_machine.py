@@ -14,11 +14,11 @@ from littlelab import machine
 from littlelab.budget import FuelExhaustedError
 from littlelab.machine import (CONST0_INDEX, CONST0_PROGRAM, CONST1_INDEX,
                                CONST1_PROGRAM, DECJZ, HALT, Halted, MachineOracle,
-                               TableOracle, ToyProgram, apply2, certificate_index,
+                               TableOracle, apply2, certificate_index,
                                enumerate_halting_computations, enumerate_programs,
                                index_of, p_cert, pair, run, run_trace, unpair)
 
-LOOP = ToyProgram(((DECJZ, 1, 0),))  # register 1 stays 0: jumps to itself
+LOOP = ((DECJZ, 1, 0),)  # register 1 stays 0: jumps to itself
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,7 @@ def test_const_program_indices():
 
 
 def test_padded_program_is_distinct_but_equivalent():
-    padded = CONST1_PROGRAM.padded()
+    padded = CONST1_PROGRAM + ((HALT, 0),)
     assert index_of(padded) != CONST1_INDEX
     for x in (0, 3, 7):
         assert run(padded, x, 100).output == run(CONST1_PROGRAM, x, 100).output
@@ -79,7 +79,7 @@ def test_looping_program_never_halts_within_budget():
 
 
 def test_out_of_range_jump_halts():
-    program = ToyProgram(((DECJZ, 0, 99),))
+    program = ((DECJZ, 0, 99),)
     result = run(program, 0, 10)
     assert isinstance(result, Halted)
 
@@ -131,7 +131,7 @@ def test_run_trace_stops_at_a_fixed_point():
 
 def test_apply2_places_arguments_in_two_registers():
     # HALT 1 copies the second argument to the output register.
-    second_arg = ToyProgram(((HALT, 1),))
+    second_arg = ((HALT, 1),)
     result = apply2(index_of(second_arg), 3, 9, 100)
     assert isinstance(result, Halted) and result.output == 9
 
