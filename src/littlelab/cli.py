@@ -90,6 +90,11 @@ MAX_PROGRAM_INDEX = 10 ** 6
 # most 1.5 s (e = 69, M = 10); --e 261 --M 3, 5 * 10^7 bits, takes 6.6 s.
 MAX_FORCING_ROW_BITS = 20_000_000
 
+# The largest `demo-split --i-max`: its truncation builds every diagonal row
+# below block i_max, s2(i_max) instances.  In a fresh process on a 2-core host
+# it takes 1.3 s at 22, 1.7 s at 23, 3.2 s at 25 and 13.9 s at 30.
+MAX_SPLIT_BLOCKS = 22
+
 # The most (history, instance) inputs a `significance` sweep may decide.  The
 # sweep counts them as it goes, so the worst refused sweep runs this far: on
 # 128-row random class files at --max-len 1, 100,000 inputs took 9.6 s at
@@ -573,7 +578,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", type=_bounded(0, MAX_PROGRAM_INDEX), default=0)
     p.add_argument("--M", type=_natural, default=2)
     p.add_argument("--step-budget", type=_bounded(1), default=10_000)
-    p.add_argument("--i-max", type=_bounded(1), default=5)
+    p.add_argument("--i-max", type=_bounded(1, MAX_SPLIT_BLOCKS, "the truncation builds "
+                                            "every diagonal row below block i_max"), default=5)
     p.set_defaults(run=cmd_demo_split)
 
     p = sub.add_parser("demo-init", help="threshold search in the stage family")

@@ -47,14 +47,14 @@ from __future__ import annotations
 
 
 def columns(rows: tuple[int, ...], domain_size: int) -> tuple[int, ...]:
-    """One column bitset per instance x: bit i is set when rows[i] labels x with 1."""
-    cols = []
-    for x in range(domain_size):
-        col = 0
-        for i, row in enumerate(rows):
-            if row >> x & 1:
-                col |= 1 << i
-        cols.append(col)
+    """Column x has bit i set when rows[i] labels x with 1: a walk of each row's set bits."""
+    cols = [0] * domain_size
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
     return tuple(cols)
 
 

@@ -4,7 +4,8 @@ witness enumerator for budgeted enumerable classes.
 
 Shattered trees are stored in heap layout: nodes (x_1, ..., x_{2^d - 1}) with
 the root at position 1, and the two children of position i at 2i and 2i + 1.
-A label path (y_1, ..., y_d) therefore visits i_{j+1} = 2 i_j + y_j.
+A label path (y_1, ..., y_d) therefore visits i_{j+1} = 2 i_j + y_j; the
+verifier walks the layout once per level, splitting the raw rows at each node.
 """
 
 from __future__ import annotations
@@ -25,17 +26,6 @@ class ShatteredTree:
             raise ValueError(
                 f"depth-{self.depth} tree needs {(1 << self.depth) - 1} nodes, "
                 f"got {len(self.nodes)}")
-
-    def paths(self) -> Iterator[tuple[tuple[int, int], ...]]:
-        """All 2^depth root-to-leaf (instance, label) constraint lists."""
-        for bits in range(1 << self.depth):
-            position = 1
-            constraints = []
-            for j in range(self.depth):
-                y = (bits >> (self.depth - 1 - j)) & 1
-                constraints.append((self.nodes[position - 1], y))
-                position = 2 * position + y
-            yield tuple(constraints)
 
 
 def ldim(H: FiniteClass) -> int:
@@ -95,21 +85,31 @@ def find_shattered_tree(H: FiniteClass, d: int) -> ShatteredTree | None:
 
 
 def verify_shattered_tree(H: FiniteClass, tree: ShatteredTree, d: int) -> bool:
-    """Check every label path has a consistent hypothesis."""
+    """Check every label path has a consistent hypothesis, in one pass per level
+    over H.rows, never the engines' columns: each node splits the rows meeting its
+    path so far on its instance, so a leaf gets exactly the rows its path admits."""
     if tree.depth != d or len(tree.nodes) != (1 << d) - 1:
         raise ValueError(f"tree has wrong shape for depth {d}")
-    for constraints in tree.paths():
-        if not any(all((row >> x) & 1 == y for x, y in constraints) for row in H.rows):
-            return False
-    return True
+
+    def shattered(rows: list[int], position: int) -> bool:
+        if not rows or position > len(tree.nodes):
+            return bool(rows)
+        x = tree.nodes[position - 1]
+        zeros, ones = [], []
+        for row in rows:
+            (ones if row >> x & 1 else zeros).append(row)
+        return shattered(zeros, 2 * position) and shattered(ones, 2 * position + 1)
+
+    return shattered(list(H.rows), 1)
 
 
 def max_witness_depth(H: FiniteClass) -> int:
-    """Dimension via the tree-search engine alone (cross-check for ldim)."""
+    """Dimension via the tree-search engine alone (cross-check for ldim); it
+    asks only whether each depth has a witness, and builds no tree."""
     if not H.rows:
         return -1
     depth = 0
-    while find_shattered_tree(H, depth + 1) is not None:
+    while _search(H.version_space(()), H.splits, depth + 1) is not None:
         depth += 1
     return depth
 

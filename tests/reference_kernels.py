@@ -1,7 +1,8 @@
 """Slow reference recursions over tuples of row masks.
 
 These are the naive splitting, game and tree-search recursions that the
-bitset kernels in ``littlelab.kernels`` and ``littlelab.littlestone`` replace.
+bitset kernels in ``littlelab.kernels`` and ``littlelab.littlestone`` replace,
+and the (instance, row) double loop that ``kernels.columns`` replaced.
 They rebuild the row tuple of every split and never stop early, so they are
 only fit for small classes; the agreement tests compare the fast engines
 against them.
@@ -87,3 +88,16 @@ def search(masks: tuple[int, ...], domain_size: int, depth: int):
         if right is not None:
             return (x, left, right)
     return None
+
+
+def columns(rows: tuple[int, ...], domain_size: int) -> tuple[int, ...]:
+    """One column bitset per instance x, testing every (instance, row) pair:
+    bit i is set when rows[i] labels x with 1."""
+    cols = []
+    for x in range(domain_size):
+        col = 0
+        for i, row in enumerate(rows):
+            if row >> x & 1:
+                col |= 1 << i
+        cols.append(col)
+    return tuple(cols)

@@ -2,10 +2,10 @@ import gc
 import random
 import tracemalloc
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_kernels as reference
-from littlelab import families
+from littlelab import families, kernels
 from littlelab.classes import FiniteClass, singletons, thresholds
 from littlelab.cli import default_table_oracle
 from littlelab.game import optimal_mistake_bound
@@ -45,6 +45,24 @@ def assert_matches_reference(rows: tuple[int, ...], domain: int) -> None:
 @given(mask_classes())
 def test_kernels_and_search_match_reference(case):
     assert_matches_reference(*case)
+
+
+@st.composite
+def row_tuples(draw):
+    # Domain 0 included; the zero row and the all-ones row drawn often.
+    domain = draw(st.integers(min_value=0, max_value=9))
+    full = (1 << domain) - 1
+    row = st.sampled_from((0, full)) | st.integers(min_value=0, max_value=full)
+    return tuple(draw(st.lists(row, max_size=16))), domain
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_tuples())
+@example(((), 0))
+@example(((0,), 0))
+@example(((0, (1 << 70) - 1, 1 << 69), 70))
+def test_columns_match_reference(case):
+    assert kernels.columns(*case) == reference.columns(*case)
 
 
 def test_empty_and_one_row_classes():

@@ -208,3 +208,38 @@ def test_the_cache_guard_lists_unbounded_caches(tmp_path):
                       "@cache\ndef e(): pass\n\n"
                       "f = functools.lru_cache(maxsize=None)(len)\n")
     assert unbounded_caches(module) == ["mod.py:12", "mod.py:15", "mod.py:18", "mod.py:21"]
+
+
+# What the witness check may not read: the representations and engines of
+# the dimension computations it checks.
+ENGINE_NAMES = frozenset({"columns", "splits", "version_space", "_search", "kernels"})
+
+
+def names_in_function(path: Path, function: str) -> set[str]:
+    """Every name and attribute the top-level function of path reads or binds."""
+    found = set()
+    for node in _parse(path).body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Name):
+                    found.add(inner.id)
+                elif isinstance(inner, ast.Attribute):
+                    found.add(inner.attr)
+            return found
+    raise LookupError(f"{path.name} defines no function {function}")
+
+
+def test_the_witness_check_reads_raw_rows_only():
+    """verify_shattered_tree checks the engines' witnesses, so it reads the
+    class's rows and never the columns, splits or search it checks."""
+    used = names_in_function(PACKAGE / "littlestone.py", "verify_shattered_tree")
+    assert "rows" in used
+    assert not used & ENGINE_NAMES, sorted(used & ENGINE_NAMES)
+
+
+def test_the_engine_guard_sees_names_and_attributes(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("def check(H):\n    return H.splits and kernels.ldim(H)\n\n"
+                      "def other():\n    return columns\n")
+    assert names_in_function(module, "check") & ENGINE_NAMES == {"splits", "kernels"}
+    assert names_in_function(module, "other") & ENGINE_NAMES == {"columns"}

@@ -8,6 +8,7 @@ from littlelab.classes import (EnumerableClass, FiniteClass, hd_prime, singleton
 from littlelab.littlestone import (ShatteredTree, find_shattered_tree, ldim,
                                    max_witness_depth, tree_enumerator,
                                    verify_shattered_tree)
+import reference_littlestone as reference
 from conftest import seeded_classes
 
 
@@ -66,7 +67,7 @@ def test_tree_shape_validation():
 
 def test_tree_paths_enumeration():
     tree = ShatteredTree((1, 0, 2), 2)
-    paths = list(tree.paths())
+    paths = list(reference.paths(tree))
     assert len(paths) == 4
     assert paths[0] == ((1, 0), (0, 0))
     assert paths[3] == ((1, 1), (2, 1))
@@ -79,6 +80,7 @@ def test_find_and_verify_witnesses_on_seeded_classes():
             tree = find_shattered_tree(H, d)
             assert tree is not None
             assert verify_shattered_tree(H, tree, d)
+            assert reference.verify_shattered_tree(H, tree, d)
         assert find_shattered_tree(H, d + 1) is None
 
 
@@ -88,6 +90,35 @@ def test_verify_rejects_a_non_witness():
     assert not verify_shattered_tree(H, bogus, 2)
     with pytest.raises(ValueError):
         verify_shattered_tree(H, bogus, 3)
+
+
+@st.composite
+def classes_with_trees(draw):
+    # Node instances come from the domain, so invalid trees and paths that
+    # give one instance both labels occur; the empty class and domain 0 (depth
+    # 0 only) are drawn too.
+    domain = draw(st.integers(min_value=0, max_value=6))
+    rows = draw(st.frozensets(st.integers(min_value=0, max_value=(1 << domain) - 1),
+                              max_size=16))
+    H = FiniteClass(domain, rows)
+    instance = st.integers(min_value=0, max_value=max(domain - 1, 0))
+    if ldim(H) >= 1 and draw(st.booleans()):
+        # A found witness with one node redrawn: shattered trees and near
+        # misses at full depth, which random nodes above depth 2 rarely give.
+        nodes = list(find_shattered_tree(H, ldim(H)).nodes)
+        nodes[draw(st.integers(min_value=0, max_value=len(nodes) - 1))] = draw(instance)
+        return H, ShatteredTree(tuple(nodes), ldim(H))
+    depth = draw(st.integers(min_value=0, max_value=4 if domain else 0))
+    nodes = draw(st.lists(instance, min_size=(1 << depth) - 1, max_size=(1 << depth) - 1))
+    return H, ShatteredTree(tuple(nodes), depth)
+
+
+@settings(max_examples=400, deadline=None)
+@given(classes_with_trees())
+def test_verify_matches_the_path_by_path_reference(case):
+    H, tree = case
+    assert verify_shattered_tree(H, tree, tree.depth) == \
+        reference.verify_shattered_tree(H, tree, tree.depth)
 
 
 def test_find_shattered_tree_requires_positive_depth():
