@@ -245,12 +245,12 @@ def cmd_demo_hdprime(args) -> list[tuple[str, object]]:
     expect(a_errs == d - 1, f"fallback learner made {a_errs} != {d - 1} mistakes")
     expect(sol_errs == 1, f"sol made {sol_errs} != 1 mistakes")
     horizon = Horizon(2 * d + 2)
-    # One explorer: the anytime sweep starts at the root game the bound solved.
-    explorer = game.Explorer(learner_a, H)
-    a_bound = explorer.bound(horizon)
+    # The two calls share one explorer, so the anytime sweep starts at the
+    # root game the bound solved.
+    a_bound = game.mistake_bound(learner_a, H, horizon)
     expect(a_bound.value == d == game.optimal_mistake_bound(H),
            "fallback learner is not optimal at the class dimension")
-    verdict = explorer.anytime(horizon, check_depth=2)
+    verdict = game.is_anytime_optimal(learner_a, H, horizon, check_depth=2)
     expect(not verdict.positive and verdict.counterexample is not None,
            "fallback learner unexpectedly anytime optimal")
     return [("dimension", d),

@@ -22,9 +22,20 @@ One `Explorer` serves every horizon and every starting sample of one
 (learner, class) pair: nothing in the memo key depends on the horizon, each
 entry holds the exact value, and its continuation is the first maximising
 step, a function of the key (equal keys predict and step alike).  So
-`is_optimal` runs its horizon and its horizon + 2 recheck on one memo, and a
-caller that wants a bound and an anytime sweep can share one too.  The memo
-lives as long as the explorer its caller holds.
+`mistake_bound`, `is_optimal` and `is_anytime_optimal` take their explorer
+from one bounded LRU cache keyed on (learner, class), `_explorer`: the
+optimality check's horizon and its horizon + 2 recheck share one memo, and an
+anytime sweep of the same pair starts at the root games that check solved.
+The cache compares keys by dataclass equality, which holds only for pairs
+that define the same game: two learners are equal when they have the same
+name, an equal `init` and the same function objects, and two classes when
+they have the same domain and the same rows.  Each entry is a function of
+(key, v, rounds left) for that game alone, so a memo built by one call is
+exact for every later call on an equal pair.  An exploration that raises
+(say `FuelExhaustedError`) has written only the entries of nodes it
+finished, so a later call through the same explorer raises the same error
+or returns the value a fresh explorer would.  The cache keeps at most
+`_EXPLORERS_KEPT` explorers, and with them their learners, classes and memos.
 
 A node tries one instance per class of equivalent instances.  Two instances
 whose restricted columns (v & column) and `Learner.instance_key` agree give
@@ -39,6 +50,7 @@ instance in its own class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .classes import FiniteClass
 from .core import Sample
@@ -167,9 +179,25 @@ class Explorer:
         return best, best_continuation
 
 
+# Explorers kept by `_explorer`, least recently used first out.  One is
+# enough for the sharing the entry points are asked for: `is_optimal` and an
+# anytime sweep of the same pair right after it, and a bound followed by a
+# sweep.  Each kept explorer holds its learner, its class (with the class's
+# dimension memos) and its own memo, which runs to tens of thousands of
+# entries for demo-hdprime at d = 6, so a larger cache would keep finished
+# games alive for callers that never come back to them.
+_EXPLORERS_KEPT = 1
+
+
+@lru_cache(maxsize=_EXPLORERS_KEPT)
+def _explorer(learner, H: FiniteClass) -> Explorer:
+    """The explorer shared by the entry points for one (learner, class) pair."""
+    return Explorer(learner, H)
+
+
 def mistake_bound(learner, H: FiniteClass, horizon: Horizon) -> GameValue:
     """Exact max of the learner's mistakes over realizable samples within horizon."""
-    return Explorer(learner, H).bound(horizon)
+    return _explorer(learner, H).bound(horizon)
 
 
 def optimal_post_sample_bound(H: FiniteClass, sample: Sample) -> int:
@@ -199,7 +227,7 @@ class Verdict:
 
 
 def is_optimal(learner, H: FiniteClass, horizon: Horizon) -> Verdict:
-    explorer = Explorer(learner, H)
+    explorer = _explorer(learner, H)
     bound = explorer.bound(horizon)
     recheck = explorer.bound(Horizon(horizon.t_max + 2))
     stabilized = recheck.value == bound.value
@@ -234,4 +262,4 @@ def realizable_samples(H: FiniteClass, max_len: int):
 def is_anytime_optimal(learner, H: FiniteClass, horizon: Horizon,
                        check_depth: int) -> Verdict:
     """Optimality after every realizable prefix up to check_depth."""
-    return Explorer(learner, H).anytime(horizon, check_depth)
+    return _explorer(learner, H).anytime(horizon, check_depth)

@@ -298,14 +298,18 @@ def test_demo_hdprime_above_the_cap_is_a_usage_error(capsys):
     assert f"at most {cli.MAX_HDPRIME_D} (the cap)" in err
 
 
+def subcommand_parsers(parser: argparse.ArgumentParser) -> dict:
+    """The subcommand parsers of the CLI parser, by name."""
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
 def bounded_flags():
     """(subcommand, flag, low, high) for each flag whose type is cli._bounded,
     read from the parser itself."""
-    parser = cli.make_parser()
-    commands = next(action.choices for action in parser._actions
-                    if isinstance(action, argparse._SubParsersAction))
     return [(command, flag, action.type.low, action.type.high)
-            for command, sub in commands.items() for action in sub._actions
+            for command, sub in subcommand_parsers(cli.make_parser()).items()
+            for action in sub._actions
             for flag in action.option_strings if hasattr(action.type, "low")]
 
 
@@ -758,3 +762,94 @@ def test_convert_text_flags_keep_the_exit_code_contract(texts, learner):
     assert "Traceback" not in err.getvalue(), argv
     if good:
         assert code == 0, (argv, err.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed argv for the game commands
+
+# The largest in-range value drawn for each bounded size flag, so that every
+# case takes at most about 0.1 s: a sol duel on singletons(16) at horizon 6
+# takes 0.09 s, and one on singletons(32) 3.7 s.  Sizes above the row cap
+# are drawn apart; they are refused before any row is built.
+AFFORDABLE = {("duel", "--d"): 4, ("duel", "--n"): 16, ("duel", "--horizon"): 6,
+              ("demo-hdprime", "--d"): 4}
+OVER_THE_ROW_CAP = {("duel", "--d"): [8, 64, 10 ** 30],
+                    ("duel", "--n"): [cli.MAX_ROWS + 1, 10 ** 30]}
+PLAIN_LEARNERS = ["sol", "conservative", "const0", "const1"]
+NOT_NATURALS = ["", "x", "1.5", "+3", " 3", "\u0663", "0x10", "1_0"]
+
+
+@st.composite
+def game_argv(draw, command: str):
+    """(argv, refused, values): argv for command from the flags its own
+    parser declares, each left at its default or drawn in range or, now and
+    then, out of range; refused is whether some value must make the CLI exit
+    1, and values maps each flag given to its value."""
+
+    def one_in(n: int) -> bool:
+        return draw(st.integers(0, n - 1)) == 0
+
+    fmt = draw(st.sampled_from([[], ["--format", "tsv"], ["--format", "json"]]))
+    argv, values, refused = [*fmt, command], {}, False
+    for action in subcommand_parsers(cli.make_parser())[command]._actions:
+        flag = max(action.option_strings, key=len, default=None)
+        if flag in (None, "--help", "--file") or not action.required and one_in(4):
+            continue
+        bad = one_in(8)
+        if action.choices:
+            value = draw(st.sampled_from(["cubes", ""] if bad else sorted(action.choices)))
+        elif hasattr(action.type, "low"):
+            low, high = action.type.low, action.type.high
+            if bad:
+                value = draw(st.sampled_from(
+                    [str(low - 1) if low else "-1", *NOT_NATURALS]
+                    + ([str(high + 1), str(10 ** 30)] if high is not None else [])))
+            elif (command, flag) in OVER_THE_ROW_CAP and one_in(8):
+                value = draw(st.sampled_from(OVER_THE_ROW_CAP[command, flag]))
+            else:
+                value = draw(st.integers(low, AFFORDABLE[command, flag]))
+        elif bad:  # --learner
+            value = draw(st.sampled_from([f"toy:{cli.MAX_PROGRAM_INDEX + 1}", "toy:-1", "toy:",
+                                          "toy:\u0663", "gradient", ""]))
+        elif one_in(4):
+            value = f"toy:{draw(st.integers(0, 500))}"
+        else:
+            value = draw(st.sampled_from([*PLAIN_LEARNERS, "fallback"]))
+        refused |= bad
+        values[flag] = value
+        argv.append(f"{flag}={value}")
+    if command == "duel" and not refused:
+        # Without a builder there is no class; singletons read --n, the
+        # other builders --d.
+        builder = values.get("--builder")
+        size_flag = "--n" if builder == "singletons" else "--d"
+        refused = builder is None or values.get(size_flag) in OVER_THE_ROW_CAP["duel", size_flag]
+    return argv, refused, values
+
+
+def _run_fuzzed(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert "Traceback" not in err.getvalue(), argv
+    return code, out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(game_argv("duel"))
+def test_fuzzed_duel_argv_keeps_the_exit_code_contract(case):
+    argv, refused, values = case
+    code, out = _run_fuzzed(argv)
+    assert code in (0, 1, 2), argv
+    if refused:
+        assert (code, out) == (1, ""), argv
+    elif values["--learner"] in PLAIN_LEARNERS:
+        assert code == 0, argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(game_argv("demo-hdprime"))
+def test_fuzzed_demo_hdprime_argv_keeps_the_exit_code_contract(case):
+    argv, refused, _ = case
+    code, out = _run_fuzzed(argv)
+    assert (code, out == "") == ((1, True) if refused else (0, False)), argv

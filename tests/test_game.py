@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from littlelab.classes import FiniteClass, hd_prime, singletons, thresholds
 from littlelab.core import Sample
+from littlelab.budget import FuelExhaustedError
 from littlelab.errors import NotRealizableError
 from littlelab import game
 from littlelab.game import (Explorer, Horizon, is_anytime_optimal, is_optimal,
@@ -10,7 +14,7 @@ from littlelab.game import (Explorer, Horizon, is_anytime_optimal, is_optimal,
                             optimal_mistake_bound, optimal_post_sample_bound,
                             realizable_samples)
 from littlelab.learners import (conservative_learner, constant_learner, sol,
-                                threshold_fallback_learner)
+                                threshold_fallback_learner, toy_learner)
 from littlelab.littlestone import ldim
 from conftest import seeded_classes
 from reference_game import (ReferenceExplorer, reference_is_anytime_optimal,
@@ -270,3 +274,104 @@ def test_one_explorer_matches_fresh_reference_explorers(case, data):
         for depth in (1, 2):
             assert (is_anytime_optimal(learner, H, horizon, depth)
                     == reference_is_anytime_optimal(learner, H, horizon, depth))
+
+
+# ---------------------------------------------------------------------------
+# One explorer per (learner, class) across the entry points
+
+ENTRY_POINTS = {
+    "bound": (mistake_bound, reference_mistake_bound),
+    "optimal": (is_optimal, reference_is_optimal),
+    "anytime": (is_anytime_optimal, reference_is_anytime_optimal),
+}
+
+
+@st.composite
+def shared_explorer_cases(draw):
+    """A learner, a class, a horizon and 1-4 calls of the entry points, each
+    (name, extra arguments)."""
+    family = draw(st.sampled_from(["random", "thresholds", "hd_prime"]))
+    d = draw(st.integers(min_value=2, max_value=3))
+    if family == "random":
+        domain = draw(st.integers(min_value=1, max_value=4))
+        H = FiniteClass(domain, draw(st.frozensets(
+            st.integers(min_value=0, max_value=(1 << domain) - 1), min_size=1, max_size=8)))
+    else:
+        H = thresholds(d) if family == "thresholds" else hd_prime(d)
+    kind = draw(st.sampled_from(["sol", "conservative", "const0", "const1"]
+                                + ["fallback"] * (family == "hd_prime")))
+    if kind == "sol":
+        learner = sol(H)
+    elif kind == "conservative":
+        learner = conservative_learner()
+    elif kind == "fallback":
+        learner = threshold_fallback_learner(H, thresholds(d).rows)
+    else:
+        learner = constant_learner(int(kind[-1]))
+    names = draw(st.lists(st.sampled_from(sorted(ENTRY_POINTS)), min_size=1, max_size=4))
+    calls = [(name, (draw(st.integers(min_value=1, max_value=2)),) if name == "anytime" else ())
+             for name in names]
+    return learner, H, Horizon(draw(st.integers(min_value=1, max_value=5))), calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_explorer_cases())
+@example((threshold_fallback_learner(_HD_PRIME_3, thresholds(3).rows), _HD_PRIME_3,
+          Horizon(3), [("optimal", ()), ("anytime", (2,)), ("bound", ())]))
+def test_entry_points_sharing_an_explorer_match_fresh_and_reference_explorers(case):
+    # Every call after the first is served by the explorer the first built;
+    # each answer is compared with the same call on a fresh explorer and on
+    # the reference explorer: values, witnesses and every verdict field.
+    learner, H, horizon, calls = case
+    game._explorer.cache_clear()
+    shared = [ENTRY_POINTS[name][0](learner, H, horizon, *extra) for name, extra in calls]
+    assert game._explorer.cache_info().hits == len(calls) - 1
+    for (name, extra), answer in zip(calls, shared):
+        entry, reference = ENTRY_POINTS[name]
+        game._explorer.cache_clear()
+        assert answer == entry(learner, H, horizon, *extra)
+        assert answer == reference(learner, H, horizon, *extra)
+
+
+def test_the_explorer_cache_shares_only_pairs_that_define_one_game():
+    # Equal classes built apart share an explorer; the same learner object
+    # on another class, or an equal class with a rebuilt learner, does not.
+    learner = conservative_learner()
+    H, same_rows = singletons(3), FiniteClass(3, frozenset({1, 2, 4}))
+    game._explorer.cache_clear()
+    bound = mistake_bound(learner, H, Horizon(3))
+    assert mistake_bound(learner, same_rows, Horizon(3)) == bound
+    assert game._explorer.cache_info().hits == 1
+    assert mistake_bound(conservative_learner(), same_rows, Horizon(3)) == bound
+    other = thresholds(2)
+    assert mistake_bound(learner, other, Horizon(3)) == reference_mistake_bound(
+        learner, other, Horizon(3))
+    assert game._explorer.cache_info().hits == 1
+
+
+def test_the_explorer_cache_lets_go_of_old_classes():
+    first = FiniteClass(3, frozenset({0b001, 0b011, 0b111}))
+    probe = weakref.ref(first)
+    mistake_bound(sol(first), first, Horizon(2))
+    del first
+    gc.collect()
+    assert probe() is not None  # the cache still holds its explorer
+    for n in range(2, 3 + game._EXPLORERS_KEPT):
+        H = singletons(n)
+        mistake_bound(sol(H), H, Horizon(2))
+    gc.collect()
+    assert probe() is None
+
+
+def test_running_out_of_fuel_repeats_through_the_shared_explorer():
+    # Program 26 never halts, so the first prediction runs out of fuel; the
+    # second call meets the same explorer and must fail the same way.
+    learner, H = toy_learner(26, step_budget=50), thresholds(2)
+    game._explorer.cache_clear()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(FuelExhaustedError) as caught:
+            mistake_bound(learner, H, Horizon(3))
+        messages.append(str(caught.value))
+    assert game._explorer.cache_info().hits == 1
+    assert messages[0] == messages[1] == "program 26 not halted within 50 steps"

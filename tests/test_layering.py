@@ -1,7 +1,7 @@
 """Each module of the package uses only the public names of its siblings,
 imports nothing from outside the package but the standard library, defines
 no public name that only its own unit tests reference, and bounds every
-cache it keeps.
+cache it keeps.  Only the game module names its explorer.
 
 A leading underscore marks a name as private to its module, so no other
 module of the package may import it (``from .game import _name``) or call it
@@ -208,6 +208,39 @@ def test_the_cache_guard_lists_unbounded_caches(tmp_path):
                       "@cache\ndef e(): pass\n\n"
                       "f = functools.lru_cache(maxsize=None)(len)\n")
     assert unbounded_caches(module) == ["mod.py:12", "mod.py:15", "mod.py:18", "mod.py:21"]
+
+
+def names_read(path: Path, name: str) -> list[str]:
+    """Each line of path that reads, imports or binds name, as a name or an
+    attribute."""
+    found = set()
+    for node in ast.walk(_parse(path)):
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and name in (node.name, node.asname)):
+            found.add(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
+def test_only_the_game_module_names_the_explorer():
+    """The other modules reach the explorer through `mistake_bound`,
+    `is_optimal` and `is_anytime_optimal`, which share one per (learner,
+    class); an explorer built elsewhere would solve its games again."""
+    found = [use for path in sorted(PACKAGE.glob("*.py")) if path.name != "game.py"
+             for use in names_read(path, "Explorer")]
+    assert not found, "\n".join(found)
+
+
+def test_the_explorer_guard_sees_imports_names_and_attributes(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("from .game import Explorer\n"
+                      "from .game import Explorer as E\n"
+                      "from . import game\n\n"
+                      "def f(H):\n    return game.Explorer(None, H)\n\n"
+                      "g = Explorer\n"
+                      "# Explorer in a comment\n"
+                      "h = 'Explorer'\n")
+    assert names_read(module, "Explorer") == ["mod.py:1", "mod.py:2", "mod.py:6", "mod.py:8"]
 
 
 # What the witness check may not read: the representations and engines of
